@@ -7,10 +7,10 @@ Standalone script (what CI runs in ``--smoke`` mode)::
 
 Three measurements:
 
-1. **Zero-cost identity** — one chain net (60 sinks in smoke, 150
-   full), both modes, all three engines, timed with and without a
-   power model.  The power-off runs must stay bit-identical between
-   reference and fast — the accumulator may cost nothing when absent.
+1. **Power-on cost** — one chain net (60 sinks in smoke, 150
+   full), both modes, both engines, timed with and without a power
+   model.  Power-off outcomes must carry exactly zero power and
+   power-on outcomes a positive one.
    The power-on factor per engine/mode is measured and *reported*,
    not gated: a power run keeps a per-count (slack, power) frontier
    where the power-off DP keeps one best slack, so it solves a
@@ -51,23 +51,14 @@ from repro.workloads import (
 from bench_engines import EIGHT_BUFFER_NAMES, chain_net
 
 MODES = ("delay", "buffopt")
-ENGINE_ORDER = ("reference", "fast", "lishi")
-
-
-def _signature(result):
-    return tuple(
-        (o.buffer_count, o.slack, o.noise_feasible, tuple(
-            sorted((i.node, i.buffer.name) for i in o.insertions)
-        ))
-        for o in result.outcomes
-    )
+ENGINE_ORDER = ("reference", "lishi")
 
 
 def power_overhead(sinks: int, repeats: int):
     """Best-of-``repeats`` (mode, engine) timings, power off vs on.
 
     Returns ``{mode: {engine: {"off_s", "on_s", "overhead"}}}`` and
-    asserts the power-off identity contracts along the way.
+    asserts the power-off zero-power contract along the way.
     """
     library = default_buffer_library().restricted(list(EIGHT_BUFFER_NAMES))
     coupling = CouplingModel.estimation_mode(default_technology())
@@ -77,7 +68,6 @@ def power_overhead(sinks: int, repeats: int):
     for mode in MODES:
         noise_aware = mode == "buffopt"
         per_engine = {}
-        off_results = {}
         for engine in ENGINE_ORDER:
             off_best = on_best = float("inf")
             for _ in range(repeats):
@@ -94,7 +84,6 @@ def power_overhead(sinks: int, repeats: int):
                     max_buffers=4, engine=engine, power=power,
                 ))
                 on_best = min(on_best, perf_counter() - start)
-            off_results[engine] = off
             assert all(o.power == 0.0 for o in off.outcomes), (
                 f"{mode} [{engine}]: power-off outcomes carry power"
             )
@@ -106,10 +95,6 @@ def power_overhead(sinks: int, repeats: int):
                 "on_s": on_best,
                 "overhead": on_best / off_best - 1.0,
             }
-        assert _signature(off_results["reference"]) == \
-            _signature(off_results["fast"]), (
-                f"{mode}: power-off fast diverged from reference"
-            )
         timings[mode] = per_engine
     return timings
 
@@ -257,7 +242,7 @@ def main(argv=None) -> int:
                 f"({t['on_s'] / t['off_s']:.1f}x — the (slack, power) "
                 "frontier, reported not gated)"
             )
-    print("power-off identity held on every engine/mode")
+    print("power-off outcomes carried zero power on every engine/mode")
 
     ok, fleet_stats = power_fleet(nets, args.seed)
     if not ok:

@@ -17,7 +17,7 @@ subcommands); this module is the consolidation seam on top of them:
 
       from repro.api import Session, SessionOptions
 
-      with Session(SessionOptions(mode="buffopt", engine="fast")) as s:
+      with Session(SessionOptions(mode="buffopt", engine="lishi")) as s:
           result = s.optimize(tree)
           print(result.describe())
 
@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import Dict, Optional
 
 from .core.budget import RunBudget
-from .core.dp import ENGINE_CHOICES, DPOptions, DPOutcome, DPResult, run_dp
+from .core.dp import ENGINES, DPOptions, DPOutcome, DPResult, run_dp
 from .core.objective import Objective
 from .core.solution import BufferSolution
 from .errors import ReproError
@@ -186,9 +186,9 @@ class SessionOptions:
     #: resolved objective's mode, so downstream consumers (fingerprints,
     #: telemetry labels) keep reading a concrete string.
     mode: Optional[str] = None
-    #: DP implementation: ``"reference"``, ``"fast"`` (bit-identical),
-    #: ``"lishi"`` (O(bn²), equivalent within float tolerance), or
-    #: ``"auto"`` (pick fast/lishi per net by size).
+    #: DP implementation: ``"reference"`` (the readable bit-identity
+    #: anchor) or ``"lishi"`` (O(bn²), equivalent within float
+    #: tolerance).
     engine: str = "reference"
     #: Lillis count cap (``None`` = uncapped).
     max_buffers: Optional[int] = None
@@ -242,10 +242,10 @@ class SessionOptions:
         object.__setattr__(self, "objective", resolved)
         object.__setattr__(self, "mode", resolved.mode)
         object.__setattr__(self, "min_slack", resolved.min_slack)
-        if self.engine not in ENGINE_CHOICES:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r} "
-                f"(expected one of {ENGINE_CHOICES})"
+                f"(expected one of {ENGINES})"
             )
         if self.prune not in ("timing", "pareto"):
             raise ValueError(f"unknown prune rule {self.prune!r}")

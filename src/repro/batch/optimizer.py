@@ -53,7 +53,7 @@ from typing import (
 
 from ..api import dp_result, resolve_objective
 from ..core.budget import RunBudget
-from ..core.dp import ENGINE_CHOICES
+from ..core.dp import ENGINES
 from ..core.objective import Objective
 from ..core.solution import BufferSolution
 from ..core.stats import EngineStats
@@ -151,13 +151,10 @@ class BatchConfig:
     #: a structured ``CertificateError`` failure in the ``"certify"``
     #: phase instead of a silently wrong solution.
     certify: bool = False
-    #: DP implementation: ``"reference"``, ``"fast"`` (bit-identical
-    #: results; see :mod:`repro.core.fast_engine`), ``"lishi"``
-    #: (semantically equivalent within float tolerance; see
-    #: :mod:`repro.core.lishi_engine`), or ``"auto"`` (per-net pick).
-    #: Excluded from the checkpoint fingerprint — the ``"auto"``
-    #: resolution included, since it never reaches the options — so a
-    #: resumed batch may switch engines.
+    #: DP implementation: ``"reference"`` or ``"lishi"`` (semantically
+    #: equivalent within float tolerance; see
+    #: :mod:`repro.core.lishi_engine`).  Excluded from the checkpoint
+    #: fingerprint, so a resumed batch may switch engines.
     engine: str = "reference"
     #: the structured optimization objective; ``None`` resolves the
     #: legacy ``mode`` (or, with neither given, the default buffopt
@@ -188,10 +185,10 @@ class BatchConfig:
         object.__setattr__(self, "objective", resolved)
         object.__setattr__(self, "mode", resolved.mode)
         object.__setattr__(self, "min_slack", resolved.min_slack)
-        if self.engine not in ENGINE_CHOICES:
+        if self.engine not in ENGINES:
             raise WorkloadError(
                 f"unknown engine {self.engine!r} "
-                f"(expected one of {ENGINE_CHOICES})"
+                f"(expected one of {ENGINES})"
             )
         if (
             self.max_segment_length is not None

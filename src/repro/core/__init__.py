@@ -2,15 +2,12 @@
 
 from .budget import RunBudget
 from .dp import (
-    AUTO_LISHI_THRESHOLD,
-    ENGINE_CHOICES,
     ENGINES,
     DPCandidate,
     DPOptions,
     DPOutcome,
     DPResult,
     Insertion,
-    resolve_auto_engine,
     run_dp,
 )
 from .eco import (
@@ -96,9 +93,6 @@ __all__ = [
     "prune_noise_candidates",
     "run_dp",
     "ENGINES",
-    "ENGINE_CHOICES",
-    "AUTO_LISHI_THRESHOLD",
-    "resolve_auto_engine",
     "select_noise_buffer",
     "uniform_line_spacing",
     "uniform_wire_noise",

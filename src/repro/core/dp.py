@@ -42,6 +42,12 @@ from ..noise.coupling import CouplingModel
 from ..tree.topology import Node, RoutingTree, Wire
 from ._chain import Chain
 from .budget import RunBudget
+from .frontier import (
+    pareto_frontier,
+    pareto_power_frontier,
+    power_timing_frontier,
+    select_root,
+)
 from .objective import Objective
 from .solution import BufferSolution
 from .stats import EngineStats
@@ -90,21 +96,8 @@ class DPCandidate:
         return Chain.to_tuple(self.wire_chain)
 
 
-#: the concrete DP implementations, in the order they landed.
-ENGINES = ("reference", "fast", "lishi")
-#: everything :class:`DPOptions.engine` accepts — the concrete engines
-#: plus the per-net ``"auto"`` heuristic.
-ENGINE_CHOICES = ENGINES + ("auto",)
-
-#: ``engine="auto"`` switches from "fast" to "lishi" when sink count ×
-#: buffer-library size reaches this product.  Below it the frontier is
-#: small enough that the fast engine's lower constants (and its
-#: bit-identity to the reference) win; above it the lishi engine's
-#: O(1) wire updates and hull-walk buffering dominate.  Chosen from the
-#: bench_engines crossover: a 60-sink × 8-buffer smoke net (product
-#: 480) still favors "fast", the 500-sink × 8-buffer gate point
-#: (product 4000) favors "lishi" by well over 2x.
-AUTO_LISHI_THRESHOLD = 512
+#: the DP implementations :class:`DPOptions.engine` accepts.
+ENGINES = ("reference", "lishi")
 
 
 @dataclass(frozen=True)
@@ -117,13 +110,10 @@ class DPOptions:
     prune: str = "timing"  # "timing" (paper) or "pareto" (4-field ablation)
     enforce_polarity: bool = True
     #: which DP implementation runs the recurrence: ``"reference"`` (this
-    #: module, the readable dataclass-per-candidate engine), ``"fast"``
-    #: (:mod:`repro.core.fast_engine`, Li–Shi-style data layout with
-    #: bit-identical outcomes), ``"lishi"``
+    #: module, the readable dataclass-per-candidate engine) or ``"lishi"``
     #: (:mod:`repro.core.lishi_engine`, the genuine O(bn²) algorithm —
     #: semantically equivalent within float tolerance, *not*
-    #: bit-identical), or ``"auto"`` (:func:`resolve_auto_engine` picks
-    #: between "fast" and "lishi" per net by sink count × library size).
+    #: bit-identical).
     engine: str = "reference"
     #: enable Lillis-style simultaneous wire sizing with this width menu.
     sizing: Optional[WireSizingSpec] = None
@@ -146,8 +136,8 @@ class DPOptions:
     #: The engine restores whole unchanged subtrees from it and stores a
     #: snapshot at every node it does visit, making incremental re-runs
     #: after a local edit bit-identical to cold runs at a fraction of
-    #: the work.  Reference engine only: the fast and lishi engines use
-    #: incompatible internal frontier representations.
+    #: the work.  Reference engine only: the lishi engine's lazy-offset
+    #: frontiers cannot be snapshotted in the reference representation.
     frontier_cache: Optional[object] = None
     #: per-node Lagrangian buffer-site prices (node name -> nonnegative
     #: finite price, in slack units).  A buffer inserted at a priced node
@@ -160,8 +150,8 @@ class DPOptions:
     #: slack shifts, steering competition between buffering at different
     #: nodes.  ``None``/empty, or a price of exactly ``0.0``, takes the
     #: original arithmetic path bit-for-bit (``x - 0.0 == x`` in IEEE
-    #: round-to-nearest), so unpriced runs stay bit-identical across all
-    #: three engines.
+    #: round-to-nearest), so unpriced runs stay bit-identical on both
+    #: engines.
     #:
     #: Semantics caveat: penalties ride the *slack* recurrence, so a
     #: branch merge (min over children) absorbs penalties paid on the
@@ -182,7 +172,7 @@ class DPOptions:
     #: :meth:`DPResult.min_power` / :meth:`DPResult.power_capped` /
     #: :meth:`DPResult.pareto_outcomes` need.  ``None`` — the default —
     #: carries ``0.0`` through arithmetic that is bit-identical to the
-    #: pre-power engine on all three implementations (tested).
+    #: pre-power engine on both implementations (tested).
     #: Incompatible with ``sizing``: without sizing the wire power of a
     #: net is assignment-independent, which is what keeps the
     #: certificate re-derivation exact.
@@ -191,10 +181,10 @@ class DPOptions:
     def __post_init__(self) -> None:
         if self.prune not in ("timing", "pareto"):
             raise ValueError(f"unknown prune rule {self.prune!r}")
-        if self.engine not in ENGINE_CHOICES:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r} "
-                f"(expected one of {', '.join(map(repr, ENGINE_CHOICES))})"
+                f"(expected one of {', '.join(map(repr, ENGINES))})"
             )
         if self.budget is not None and not isinstance(self.budget, RunBudget):
             raise ValueError(
@@ -217,9 +207,9 @@ class DPOptions:
         if self.frontier_cache is not None:
             if self.engine != "reference":
                 raise ValueError(
-                    "frontier_cache requires engine='reference' (the fast "
-                    "and lishi engines cannot snapshot/restore reference "
-                    f"frontiers), got engine={self.engine!r}"
+                    "frontier_cache requires engine='reference' (the lishi "
+                    "engine cannot snapshot/restore reference frontiers), "
+                    f"got engine={self.engine!r}"
                 )
             if self.collect_stats:
                 raise ValueError(
@@ -1099,9 +1089,17 @@ class _Engine:
                 # identity and the presorted-scan fast path.
                 self.prune_sorts += 1
                 kept = (
-                    self._power_timing_frontier(candidates)
+                    power_timing_frontier(
+                        [(c.load, c.slack, c.power, c) for c in candidates]
+                    )
                     if timing
-                    else self._prune_pareto_power(candidates)
+                    else pareto_power_frontier([
+                        (
+                            c.load, -c.slack, c.current, -c.noise_slack,
+                            c.power, c,
+                        )
+                        for c in candidates
+                    ])
                 )
             elif timing:
                 kept = _presorted_timing_frontier(candidates)
@@ -1148,77 +1146,16 @@ class _Engine:
         return kept
 
     @staticmethod
-    def _power_timing_frontier(
-        candidates: List[DPCandidate],
-    ) -> List[DPCandidate]:
-        """(load, slack, power) dominance — the timing rule's power axis.
-
-        Sorted by load ascending, every kept candidate already has load
-        <= the scanned one, so dominance reduces to finding a kept
-        candidate with slack >= and power <= (first-seen wins exact
-        ties).  The kept list is scanned linearly: power frontiers stay
-        small enough that this beats fancier structures, mirroring the
-        pareto ablation's shape.
-        """
-        ordered = sorted(
-            candidates, key=lambda c: (c.load, -c.slack, c.power)
-        )
-        kept: List[DPCandidate] = []
-        for cand in ordered:
-            dominated = any(
-                other.slack >= cand.slack and other.power <= cand.power
-                for other in kept
-            )
-            if not dominated:
-                kept.append(cand)
-        return kept
-
-    @staticmethod
-    def _prune_pareto_power(
-        candidates: List[DPCandidate],
-    ) -> List[DPCandidate]:
-        """5-field dominance: the pareto ablation plus the power axis."""
-        ordered = sorted(
-            candidates,
-            key=lambda c: (c.load, -c.slack, c.current, -c.noise_slack, c.power),
-        )
-        kept: List[DPCandidate] = []
-        for cand in ordered:
-            dominated = any(
-                other.load <= cand.load
-                and other.slack >= cand.slack
-                and other.current <= cand.current
-                and other.noise_slack >= cand.noise_slack
-                and other.power <= cand.power
-                for other in kept
-            )
-            if not dominated:
-                kept.append(cand)
-        return kept
-
-    @staticmethod
     def _prune_pareto(candidates: List[DPCandidate]) -> List[DPCandidate]:
         """4-field dominance (load, slack, current, noise slack) — ablation."""
-        ordered = sorted(
-            candidates,
-            key=lambda c: (c.load, -c.slack, c.current, -c.noise_slack),
-        )
-        kept: List[DPCandidate] = []
-        for cand in ordered:
-            dominated = any(
-                other.load <= cand.load
-                and other.slack >= cand.slack
-                and other.current <= cand.current
-                and other.noise_slack >= cand.noise_slack
-                for other in kept
-            )
-            if not dominated:
-                kept.append(cand)
-        return kept
+        return pareto_frontier([
+            (c.load, -c.slack, c.current, -c.noise_slack, c)
+            for c in candidates
+        ])
 
     def _finalize(self, groups: _Groups) -> DPResult:
         has_inverters = any(b.inverting for b in self.library)
-        finalized: List[DPOutcome] = []
+        entries = []
         for (polarity, _), candidates in groups.items():
             if self.options.enforce_polarity and has_inverters and polarity != 0:
                 continue
@@ -1229,39 +1166,22 @@ class _Engine:
                 )
                 if self.options.noise_aware and not noise_ok:
                     continue  # Step 3/4 of Fig. 10: reject noisy finals.
-                finalized.append(
-                    DPOutcome(
-                        buffer_count=cand.count,
-                        slack=slack,
-                        noise_feasible=noise_ok,
-                        insertions=cand.insertions(),
-                        wire_choices=cand.wire_choices(),
-                        power=cand.power,
-                    )
+                entries.append(
+                    (cand.count, slack, cand.power, (cand, noise_ok))
                 )
-        if self.power is not None:
-            # Per-count (slack, power) frontier, ordered by rising power
-            # (and hence rising slack) within each count.
-            per_count: Dict[int, List[DPOutcome]] = {}
-            for outcome in finalized:
-                per_count.setdefault(outcome.buffer_count, []).append(outcome)
-            frontier: List[DPOutcome] = []
-            for count in sorted(per_count):
-                best_seen = -math.inf
-                for outcome in sorted(
-                    per_count[count], key=lambda o: (o.power, -o.slack)
-                ):
-                    if outcome.slack > best_seen:
-                        frontier.append(outcome)
-                        best_seen = outcome.slack
-            ordered = tuple(frontier)
-        else:
-            outcomes: Dict[int, DPOutcome] = {}
-            for outcome in finalized:
-                kept = outcomes.get(outcome.buffer_count)
-                if kept is None or outcome.slack > kept.slack:
-                    outcomes[outcome.buffer_count] = outcome
-            ordered = tuple(outcomes[k] for k in sorted(outcomes))
+        ordered = tuple(
+            DPOutcome(
+                buffer_count=count,
+                slack=slack,
+                noise_feasible=noise_ok,
+                insertions=cand.insertions(),
+                wire_choices=cand.wire_choices(),
+                power=power,
+            )
+            for count, slack, power, (cand, noise_ok) in select_root(
+                entries, self.power is not None
+            )
+        )
         return DPResult(
             tree=self.tree,
             outcomes=ordered,
@@ -1284,11 +1204,9 @@ def run_dp(
     ``coupling`` defaults to the silent model (all noise currents zero),
     which is the right setting for pure DelayOpt; ``driver`` defaults to
     ``tree.driver``.  ``options.engine`` selects the implementation:
-    ``"reference"`` (this module), ``"fast"``
-    (:mod:`repro.core.fast_engine`, bit-identical to the reference),
-    ``"lishi"`` (:mod:`repro.core.lishi_engine`, semantically equivalent
-    within float tolerance), or ``"auto"``
-    (:func:`resolve_auto_engine` picks "fast" or "lishi" per net).
+    ``"reference"`` (this module) or ``"lishi"``
+    (:mod:`repro.core.lishi_engine`, semantically equivalent within
+    float tolerance).
     """
     options = options or DPOptions()
     coupling = coupling or CouplingModel.silent()
@@ -1298,14 +1216,7 @@ def run_dp(
                 f"tree {tree.name!r} has no driver cell; pass driver="
             )
         driver = tree.driver
-    engine_name = options.engine
-    if engine_name == "auto":
-        engine_name = resolve_auto_engine(tree, library)
-    if engine_name == "fast":
-        from .fast_engine import FastEngine
-
-        engine = FastEngine(tree, library, coupling, options, driver)
-    elif engine_name == "lishi":
+    if options.engine == "lishi":
         from .lishi_engine import LiShiEngine
 
         engine = LiShiEngine(tree, library, coupling, options, driver)
@@ -1316,22 +1227,3 @@ def run_dp(
         # the whole branch (the no-overhead-when-off contract).
         options.profile.install(engine)
     return engine.run()
-
-
-def resolve_auto_engine(tree: RoutingTree, library: BufferLibrary) -> str:
-    """Resolve ``engine="auto"`` for one net: ``"fast"`` or ``"lishi"``.
-
-    The heuristic is the product *sink count × buffer-library size* —
-    the factors that size the per-node frontier and the per-node
-    buffering scan — against :data:`AUTO_LISHI_THRESHOLD`.  The
-    resolution is deliberately per-net state-free (no timing, no
-    feedback), so a batch run's checkpoint fingerprint stays independent
-    of it: resuming a journal under a different engine (or a different
-    auto resolution) is always legal, because every engine answers
-    semantically alike.
-    """
-    return (
-        "lishi"
-        if len(tree.sinks) * len(library) >= AUTO_LISHI_THRESHOLD
-        else "fast"
-    )

@@ -1,11 +1,19 @@
 """The Li–Shi engine: the genuine O(bn²) recurrence (``engine="lishi"``).
 
-Where :mod:`repro.core.fast_engine` deliberately *rejected* the classic
-Li & Shi shortcuts to stay bit-identical to the reference engine, this
-module embraces them — and therefore trades bit-identity for *semantic*
+Li & Shi's *An O(bn^2) Time Algorithm for Optimal Buffer Insertion with
+b Buffer Types* speeds up the Van Ginneken recurrence with shortcuts
+that re-associate its float sums and resolve exact ties differently, so
+this engine trades the reference engine's bit-identity for *semantic*
 equivalence (same selected outcomes within float tolerance,
 certificate-clean, oracle-optimal; see ``tests/core/equivalence.py``
-and ``docs/algorithms.md`` §9):
+and ``docs/algorithms.md`` §8):
+
+* **flat tuple candidates** — ``(load, slack, current, noise_slack,
+  chain, wire_chain, power)`` replaces the reference engine's
+  frozen-dataclass record; building a flat tuple is several times
+  cheaper, and the DP builds hundreds of thousands of them.  Solution
+  chains are ``(payload, tail, count)`` cons cells with the same O(1)
+  push / shared-tail semantics as :class:`~repro.core._chain.Chain`.
 
 * **lazy wire offsets** — a wire of resistance ``R``, capacitance ``Cw``
   and noise current ``Iw`` updates a whole frontier in O(1) by folding
@@ -18,8 +26,8 @@ and ``docs/algorithms.md`` §9):
 
   and the wire update is ``dq += R*(Cw/2 + dc); dns += R*(Iw/2 + di);
   r += R; dc += Cw; di += Iw``.  The offsets re-associate the float
-  sums, which is exactly the last-ulp drift the fast engine refused —
-  hence the tolerance-based equivalence contract.  Power-active runs
+  sums and can drift in the last ulp — hence the tolerance-based
+  equivalence contract.  Power-active runs
   (:attr:`~repro.core.dp.DPOptions.power`) add a sixth offset ``dpw``:
   wire power is uniform across a frontier, so it too folds in O(1)
   (``dpw += wire_power(Cw)``) and a stored power ``P0`` decodes to
@@ -37,9 +45,9 @@ and ``docs/algorithms.md`` §9):
   which fold into ``dc``/``di``), at the crossover one clamped
   candidate is materialized, and everything beyond it is dominated by
   the clamp and truncated.  One binary search, one new tuple, O(1)
-  offset updates — the dominated merge outputs the eager engines build
-  and then prune are never constructed at all (this is also why the
-  engine's ``candidates_generated`` runs far below the fast engine's).
+  offset updates — the dominated merge outputs the reference engine
+  builds and then prunes are never constructed at all (this is also why
+  the engine's ``candidates_generated`` runs far below the reference's).
 
 * **range-search buffering on a wire-invariant hull** — the per-buffer
   argmax of ``q − R·C`` equals the argmax of ``q0 − (r + R)·C0`` in
@@ -64,12 +72,13 @@ their frontiers (so there is nothing to win) and makes eager eviction
 unsound (a (C, q)-dominated candidate may outlive its dominator when
 the next wire kills the dominator on noise) — and the
 ``prune="pareto"`` ablation and Lillis wire sizing fall back to
-materialized fast-engine-shaped passes.
+materialized passes.  The dominance kernels and the root selection are
+shared with the reference engine (:mod:`repro.core.frontier`).
 
-Candidate representation, chain cells, phase-method names
-(``_merge_children`` / ``_insert_buffers`` / ``_apply_wire`` /
-``_prune`` for :class:`~repro.obs.PhaseProfiler`), counters, budget
-charging and the visit loop all mirror the fast engine.
+Phase-method names (``_merge_children`` / ``_insert_buffers`` /
+``_apply_wire`` / ``_prune`` for :class:`~repro.obs.PhaseProfiler`),
+counters, budget charging and the visit loop all mirror the reference
+engine.
 """
 
 from __future__ import annotations
@@ -86,20 +95,61 @@ from ..library.cells import DriverCell
 from ..noise.coupling import CouplingModel
 from ..tree.topology import Node, RoutingTree, Wire
 from .dp import DPOptions, DPOutcome, DPResult, Insertion
-from .fast_engine import _Cand, _chain_concat, _chain_payloads
+from .frontier import (
+    pareto_frontier,
+    pareto_power_frontier,
+    power_timing_frontier,
+    select_root,
+)
 from .stats import EngineStats
 from .wire_sizing import WireChoice
+
+# A candidate is (load, slack, current, noise_slack, chain, wire_chain,
+# power) in stored (offset) coordinates; polarity and buffer count live
+# on the group key / chain cell, so the per-candidate record carries
+# only what the arithmetic touches.
+_Cand = Tuple[
+    float, float, float, float, Optional[tuple], Optional[tuple], float
+]
 
 _INF = math.inf
 _LOAD = itemgetter(0)
 _Key = Tuple[int, int]
 
 
+def _chain_concat(left: Optional[tuple], right: Optional[tuple]) -> Optional[tuple]:
+    """Tuple-cell twin of :meth:`Chain.concat`: left's items pushed onto right."""
+    if left is None:
+        return right
+    items = []
+    node: Optional[tuple] = left
+    while node is not None:
+        items.append(node[0])
+        node = node[1]
+    out = right
+    count = out[2] if out is not None else 0
+    for item in reversed(items):
+        count += 1
+        out = (item, out, count)
+    return out
+
+
+def _chain_payloads(chain: Optional[tuple]) -> List[tuple]:
+    """Chain payloads in push order (twin of :meth:`Chain.to_tuple`)."""
+    items: List[tuple] = []
+    node = chain
+    while node is not None:
+        items.append(node[0])
+        node = node[1]
+    items.reverse()
+    return items
+
+
 class _Frontier:
     """A group dict plus the five lazy wire offsets it is stored under.
 
     ``groups`` maps ``(polarity, count)`` keys to load-sorted candidate
-    lists exactly like the other engines; the offsets apply uniformly to
+    lists exactly like the reference engine; the offsets apply uniformly to
     every candidate of every group (they encode the wires applied since
     the frontier was last materialized, and every candidate of a node's
     frontier has seen the same wires).  ``hulls`` caches the per-group
@@ -138,11 +188,11 @@ class _Frontier:
 
 
 class LiShiEngine:
-    """Drop-in sibling of the reference/fast engines (``engine="lishi"``).
+    """Drop-in sibling of the reference engine (``engine="lishi"``).
 
     Construction, counters, telemetry and budget charging mirror
-    :class:`~repro.core.fast_engine.FastEngine`; results are
-    semantically equivalent, not bit-identical (module docstring).
+    :class:`~repro.core.dp._Engine`; results are semantically
+    equivalent, not bit-identical (module docstring).
     """
 
     def __init__(
@@ -167,8 +217,7 @@ class LiShiEngine:
         self.stats: Optional[EngineStats] = (
             EngineStats(engine="lishi") if options.collect_stats else None
         )
-        # (buffer, R, Cin, D, NM, inv) rows like the fast engine, plus the
-        # same rows sorted by descending resistance for the hull walk.
+        # (buffer, R, Cin, D, NM, inv) rows, plus the same rows sorted by descending resistance for the hull walk.
         self._buffers = [
             (
                 b,
@@ -453,8 +502,8 @@ class LiShiEngine:
         (its loads/currents shift by the lone candidate's, which fold
         into the shared ``dc``/``di`` offsets), the first candidate at
         or above the crossover is clamped to ``q_lone``, and everything
-        after it is dominated by the clamp — the eager engines build
-        and then prune those outputs; this path never constructs them.
+        after it is dominated by the clamp — the reference engine
+        builds and then prunes those outputs; this path never constructs them.
         """
         s_load = lone[0] + lone_frontier.dc
         s_q = (
@@ -878,8 +927,8 @@ class LiShiEngine:
     def _insert_buffers_scan(self, node: Node, frontier: _Frontier) -> None:
         """Noise/pareto buffering: materialized rows, filtered scans.
 
-        The fast engine's discipline with the offsets decoded into the
-        row extraction; Step 5's limit (the largest gate resistance a
+        Pre-extracted scalar rows with the offsets decoded into the
+        extraction; Step 5's limit (the largest gate resistance a
         candidate tolerates, NS/I) filters exactly as in the reference.
         """
         options = self.options
@@ -1003,7 +1052,7 @@ class LiShiEngine:
         sizing = self.options.sizing
         if sizing is None:
             # The whole point: O(1) per frontier, not O(frontier).  The
-            # noise dead-drop the eager engines do here is deferred to
+            # noise dead-drop the reference engine does here is deferred to
             # the prune scan that immediately follows every wire.  The
             # stored-coordinate hulls are untouched: a wire only shifts
             # the query slope.
@@ -1021,8 +1070,8 @@ class LiShiEngine:
             return
         # Lillis sizing forks each candidate per menu width — widths
         # differ per candidate afterwards, which a shared offset frame
-        # cannot express.  Materialize, then fork eagerly (fast-engine
-        # shape).
+        # cannot express.  Materialize, then fork eagerly (the
+        # reference engine's shape).
         self._rebase(frontier)
         base_i = self.coupling.wire_current(wire)
         noise_aware = self.options.noise_aware
@@ -1128,12 +1177,12 @@ class LiShiEngine:
                 kept = (
                     self._prune_power_timing(candidates, frontier)
                     if timing
-                    else self._prune_pareto_power(candidates, frontier)
+                    else self._prune_pareto(candidates, frontier, True)
                 )
             elif timing:
                 kept = self._prune_timing(candidates, frontier)
             else:
-                kept = self._prune_pareto(candidates, frontier)
+                kept = self._prune_pareto(candidates, frontier, False)
             dropped += len(candidates) - len(kept)
             if kept:
                 groups[key] = kept
@@ -1201,9 +1250,12 @@ class LiShiEngine:
         return kept
 
     def _prune_pareto(
-        self, candidates: List[_Cand], frontier: _Frontier
+        self, candidates: List[_Cand], frontier: _Frontier, power: bool
     ) -> List[_Cand]:
-        """4-field dominance on materialized actual values — ablation."""
+        """4-field (or, with power, 5-field) dominance on actual values.
+
+        Noise-dead candidates are dropped while the key rows are built.
+        """
         r, dq, dc, di, dns = (
             frontier.r, frontier.dq, frontier.dc, frontier.di, frontier.dns,
         )
@@ -1214,32 +1266,18 @@ class LiShiEngine:
             if noise_aware and noise_slack < 0.0:
                 self.dead += 1
                 continue
-            rows.append(
-                (
-                    cand[0] + dc,
-                    -(cand[1] - r * cand[0] - dq),
-                    cand[2] + di,
-                    -noise_slack,
-                    cand,
+            load = cand[0] + dc
+            neg_slack = -(cand[1] - r * cand[0] - dq)
+            current = cand[2] + di
+            if power:
+                rows.append(
+                    (load, neg_slack, current, -noise_slack, cand[6], cand)
                 )
-            )
-        rows.sort(key=lambda row: row[:4])
-        kept_rows: List[tuple] = []
-        kept: List[_Cand] = []
-        for row in rows:
-            load, neg_slack, current, neg_ns = row[0], row[1], row[2], row[3]
-            for other in kept_rows:
-                if (
-                    other[0] <= load
-                    and other[1] <= neg_slack
-                    and other[2] <= current
-                    and other[3] <= neg_ns
-                ):
-                    break
             else:
-                kept_rows.append(row)
-                kept.append(row[4])
-        return kept
+                rows.append((load, neg_slack, current, -noise_slack, cand))
+        if power:
+            return pareto_power_frontier(rows)
+        return pareto_frontier(rows)
 
     def _prune_power_timing(
         self, candidates: List[_Cand], frontier: _Frontier
@@ -1247,10 +1285,9 @@ class LiShiEngine:
         """(load, slack, power) dominance under the offset frame.
 
         Uniform offsets cancel in comparisons (``dq`` for slack, ``dc``
-        for load, ``dpw`` for power), so the scan ranks by ``q0 − r·C0``
-        and stored power directly; only the noise dead-check needs the
-        absolute noise slack.  Mirrors the reference engine's
-        ``_power_timing_frontier`` (first-seen wins exact ties).
+        for load, ``dpw`` for power), so the rows carry stored load,
+        ``q0 − r·C0`` and stored power directly; only the noise
+        dead-check needs the absolute noise slack.
         """
         r = frontier.r
         dns = frontier.dns
@@ -1263,134 +1300,44 @@ class LiShiEngine:
                 continue
             rows.append((cand[0], cand[1] - r * cand[0], cand[6], cand))
         self.dead += dead
-        rows.sort(key=lambda row: (row[0], -row[1], row[2]))
-        kept_rows: List[tuple] = []
-        kept: List[_Cand] = []
-        for row in rows:
-            q = row[1]
-            power = row[2]
-            for other in kept_rows:
-                if other[1] >= q and other[2] <= power:
-                    break
-            else:
-                kept_rows.append(row)
-                kept.append(row[3])
-        return kept
-
-    def _prune_pareto_power(
-        self, candidates: List[_Cand], frontier: _Frontier
-    ) -> List[_Cand]:
-        """5-field dominance: the pareto ablation plus the power axis."""
-        r, dq, dc, di, dns = (
-            frontier.r, frontier.dq, frontier.dc, frontier.di, frontier.dns,
-        )
-        noise_aware = self.options.noise_aware
-        rows = []
-        for cand in candidates:
-            noise_slack = cand[3] - r * cand[2] - dns
-            if noise_aware and noise_slack < 0.0:
-                self.dead += 1
-                continue
-            rows.append(
-                (
-                    cand[0] + dc,
-                    -(cand[1] - r * cand[0] - dq),
-                    cand[2] + di,
-                    -noise_slack,
-                    cand[6],
-                    cand,
-                )
-            )
-        rows.sort(key=lambda row: row[:5])
-        kept_rows: List[tuple] = []
-        kept: List[_Cand] = []
-        for row in rows:
-            for other in kept_rows:
-                if (
-                    other[0] <= row[0]
-                    and other[1] <= row[1]
-                    and other[2] <= row[2]
-                    and other[3] <= row[3]
-                    and other[4] <= row[4]
-                ):
-                    break
-            else:
-                kept_rows.append(row)
-                kept.append(row[5])
-        return kept
+        return power_timing_frontier(rows)
 
     def _finalize(self, frontier: _Frontier) -> DPResult:
         r, dq, dc, di, dns = (
             frontier.r, frontier.dq, frontier.dc, frontier.di, frontier.dns,
         )
         dpw = frontier.dpw
-        power_active = self.power is not None
         has_inverters = any(b.inverting for b in self.library)
         enforce = self.options.enforce_polarity
         noise_aware = self.options.noise_aware
         gate_delay = self.driver.gate_delay
         driver_resistance = self.driver.resistance
-        if power_active:
-            # Per-count (slack, power) frontier, ordered by rising
-            # power (and hence rising slack) within each count —
-            # mirroring the reference engine's power finalize.
-            per_count: Dict[int, List[Tuple[float, float, bool, _Cand]]] = {}
-            for (polarity, _), candidates in frontier.groups.items():
-                if enforce and has_inverters and polarity != 0:
-                    continue
-                for cand in candidates:
-                    load = cand[0] + dc
-                    q = cand[1] - r * cand[0] - dq
-                    current = cand[2] + di
-                    noise_slack = cand[3] - r * cand[2] - dns
-                    slack = q - gate_delay(load)
-                    noise_ok = driver_resistance * current <= noise_slack
-                    if noise_aware and not noise_ok:
-                        continue
-                    chain = cand[4]
-                    count = chain[2] if chain is not None else 0
-                    per_count.setdefault(count, []).append(
-                        (cand[6] + dpw, slack, noise_ok, cand)
-                    )
-            outcomes: List[DPOutcome] = []
-            for count in sorted(per_count):
-                best_seen = -_INF
-                for power, slack, noise_ok, cand in sorted(
-                    per_count[count],
-                    key=lambda entry: (entry[0], -entry[1]),
-                ):
-                    if slack > best_seen:
-                        outcomes.append(
-                            self._materialize(
-                                count, slack, noise_ok, cand, power
-                            )
-                        )
-                        best_seen = slack
-            ordered = tuple(outcomes)
-        else:
-            winners: Dict[int, Tuple[float, bool, _Cand]] = {}
-            for (polarity, _), candidates in frontier.groups.items():
-                if enforce and has_inverters and polarity != 0:
-                    continue
-                for cand in candidates:
-                    load = cand[0] + dc
-                    q = cand[1] - r * cand[0] - dq
-                    current = cand[2] + di
-                    noise_slack = cand[3] - r * cand[2] - dns
-                    slack = q - gate_delay(load)
-                    noise_ok = driver_resistance * current <= noise_slack
-                    if noise_aware and not noise_ok:
-                        continue  # Step 3/4 of Fig. 10: reject noisy finals.
-                    chain = cand[4]
-                    count = chain[2] if chain is not None else 0
-                    kept = winners.get(count)
-                    if kept is not None and not slack > kept[0]:
-                        continue
-                    winners[count] = (slack, noise_ok, cand)
-            ordered = tuple(
-                self._materialize(count, slack, noise_ok, cand, cand[6] + dpw)
-                for count, (slack, noise_ok, cand) in sorted(winners.items())
+        entries = []
+        for (polarity, _), candidates in frontier.groups.items():
+            if enforce and has_inverters and polarity != 0:
+                continue
+            for cand in candidates:
+                load = cand[0] + dc
+                q = cand[1] - r * cand[0] - dq
+                current = cand[2] + di
+                noise_slack = cand[3] - r * cand[2] - dns
+                slack = q - gate_delay(load)
+                noise_ok = driver_resistance * current <= noise_slack
+                if noise_aware and not noise_ok:
+                    continue  # Step 3/4 of Fig. 10: reject noisy finals.
+                chain = cand[4]
+                entries.append((
+                    chain[2] if chain is not None else 0,
+                    slack,
+                    cand[6] + dpw,
+                    (cand, noise_ok),
+                ))
+        ordered = tuple(
+            self._materialize(count, slack, noise_ok, cand, power)
+            for count, slack, power, (cand, noise_ok) in select_root(
+                entries, self.power is not None
             )
+        )
         return DPResult(
             tree=self.tree,
             outcomes=ordered,

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..core.dp import ENGINE_CHOICES
+from ..core.dp import ENGINES
 from ..core.objective import Objective
 from ..units import UM
 
@@ -57,6 +57,23 @@ MODES = ("buffopt", "delay")
 
 #: pruning rules the service accepts.
 PRUNE_CHOICES = ("timing", "pareto")
+
+#: retired engine spellings and the engine each now runs on.  They stay
+#: valid on the wire and in the canonical form, so old clients keep
+#: working and journaled requests keep their fingerprints (and cached
+#: answers).  ``"fast"`` was bit-identical to the reference engine, so
+#: its journaled payloads stay truthful; ``"auto"`` picked lishi for
+#: every large net.
+LEGACY_ENGINES = {"fast": "reference", "auto": "lishi"}
+
+#: engine spellings the service accepts.
+WIRE_ENGINES = ENGINES + tuple(LEGACY_ENGINES)
+
+
+def execution_engine(engine: str) -> str:
+    """The DP engine a wire ``engine`` value runs on."""
+    return LEGACY_ENGINES.get(engine, engine)
+
 
 #: default wire segmentation, matching ``repro.api.SessionOptions``.
 DEFAULT_SEGMENT_LENGTH = 500 * UM
@@ -154,9 +171,10 @@ class CanonicalRequest:
     so every field participates in :meth:`fingerprint`.  Unlike the
     batch checkpoint fingerprint, ``engine`` is *included*: the service
     cache stores final response payloads, and candidate telemetry in the
-    payload is engine-visible, so serving a ``"fast"`` result for a
-    ``"lishi"`` request would not be the lie-free cache the protocol
-    promises.
+    payload is engine-visible, so serving a ``"reference"`` result for
+    a ``"lishi"`` request would not be the lie-free cache the protocol
+    promises.  Retired spellings (:data:`LEGACY_ENGINES`) keep their
+    own canonical form and run via :func:`execution_engine`.
     """
 
     #: net identity and generator inputs (``repro.workloads.NetSpec``).
@@ -347,7 +365,7 @@ def parse_request(payload: Any) -> CanonicalRequest:
         kwargs["mode"] = _want_choice("mode", payload["mode"], MODES)
     if "engine" in payload:
         kwargs["engine"] = _want_choice(
-            "engine", payload["engine"], tuple(ENGINE_CHOICES)
+            "engine", payload["engine"], WIRE_ENGINES
         )
     if "max_buffers" in payload and payload["max_buffers"] is not None:
         kwargs["max_buffers"] = _want_int(

@@ -30,7 +30,7 @@ from ..library.cells import default_cell_library
 from ..library.technology import default_technology
 from ..noise.coupling import CouplingModel
 from ..workloads.generator import NetSpec, WorkloadConfig
-from .protocol import CanonicalRequest, result_payload
+from .protocol import CanonicalRequest, execution_engine, result_payload
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,9 @@ def batch_config_for(request: CanonicalRequest) -> BatchConfig:
     never trees.  A v2 objective block passes through as the batch
     objective; legacy requests keep the ``mode=`` path (which
     ``BatchConfig`` resolves to the identical legacy objective).
+    Retired engine spellings run on their successor engine.
     """
+    engine = execution_engine(request.engine)
     if request.objective is not None:
         return BatchConfig(
             objective=request.objective,
@@ -60,7 +62,7 @@ def batch_config_for(request: CanonicalRequest) -> BatchConfig:
             net_deadline=request.deadline_seconds,
             net_max_candidates=request.max_candidates,
             certify=request.certify,
-            engine=request.engine,
+            engine=engine,
         )
     return BatchConfig(
         mode=request.mode,
@@ -72,7 +74,7 @@ def batch_config_for(request: CanonicalRequest) -> BatchConfig:
         net_deadline=request.deadline_seconds,
         net_max_candidates=request.max_candidates,
         certify=request.certify,
-        engine=request.engine,
+        engine=engine,
     )
 
 

@@ -3,8 +3,8 @@
 The paper assumes "the input routing tree topology is fixed or that a
 Steiner estimation has been computed for the given net" (Section II).  This
 module provides that estimation for the synthetic workload: a rectilinear
-minimum spanning tree over the terminals (Prim via :mod:`networkx`), rooted
-at the source, with every tree edge realized as an L-shaped route (one
+minimum spanning tree over the terminals (Kruskal via :mod:`networkx`),
+rooted at the source, with every tree edge realized as an L-shaped route (one
 corner node).  Branch nodes of degree > 2 are binarized with dummy nodes
 per the paper's footnote 1.
 
@@ -77,7 +77,10 @@ def steiner_tree(
     for i, u in enumerate(terminals):
         for v in terminals[i + 1:]:
             graph.add_edge(u, v, weight=manhattan(positions[u], positions[v]))
-    mst = nx.minimum_spanning_tree(graph, algorithm="prim")
+    # Kruskal breaks weight ties by edge insertion order; networkx's
+    # Prim starts from a set pop, so its ties (and the MST's adjacency
+    # order) would follow PYTHONHASHSEED.
+    mst = nx.minimum_spanning_tree(graph, algorithm="kruskal")
 
     builder = TreeBuilder(technology)
     builder.add_source("so", driver=driver, position=source_position)
@@ -91,9 +94,11 @@ def steiner_tree(
             position=sink.position,
         )
 
-    # Orient the MST away from the source and realize each edge as an L-route.
+    # Orient the MST away from the source and realize each edge as an
+    # L-route.  Sorted neighbours number the corners (and order the
+    # children) by node name, whatever order the MST was built in.
     corner_index = 0
-    for parent, child in nx.bfs_edges(mst, "so"):
+    for parent, child in nx.bfs_edges(mst, "so", sort_neighbors=sorted):
         (px, py), (cx, cy) = positions[parent], positions[child]
         # Sinks must stay leaves: when the MST routes *through* a sink,
         # hang the continuation off a zero-length internal twin instead.

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.dp import ENGINE_CHOICES, DPOptions, DPResult, run_dp
+from ..core.dp import ENGINES, DPOptions, DPResult, run_dp
 from ..errors import InfeasibleError, ReproError
 from ..io import net_from_dict, net_to_dict
 from ..library.buffers import BufferLibrary, default_buffer_library
@@ -63,7 +63,7 @@ def default_engine(
     """The real engine, configured the way the fuzzer checks it.
 
     ``dp_engine`` selects the DP implementation (any of
-    :data:`repro.core.dp.ENGINE_CHOICES`) — ``buffopt fuzz --engine
+    :data:`repro.core.dp.ENGINES`) — ``buffopt fuzz --engine
     lishi`` points the whole campaign at the lishi engine's code paths.
     ``power`` (set in the ``*-power`` fuzz modes) runs the DP with the
     power accumulator on.
@@ -149,61 +149,17 @@ def planted_buggy_power_engine(
     return engine
 
 
-def planted_buggy_fast_engine(min_sinks: int = 2) -> Engine:
-    """A fast engine with a deliberately broken pruning rule.
+def planted_buggy_lishi_engine(min_sinks: int = 2) -> Engine:
+    """A lishi engine with deliberately over-eager dominance eviction.
 
     On trees with at least ``min_sinks`` sinks the timing prune keeps
     only the min-load candidate of every group, discarding the rest of
     the frontier.  Over-pruning is *self-consistent* — every surviving
     candidate's claims are still correct, so the certificate passes —
     which is exactly why the fuzzer needs the exhaustive oracle: only a
-    ground-truth comparison notices the optimum went missing.  The
-    self-test asserts the fuzz/shrink loop catches this.
-    """
-    from ..core.fast_engine import FastEngine
-
-    class _OverPruningFastEngine(FastEngine):
-        def _prune_timing(self, candidates):
-            kept = super()._prune_timing(candidates)
-            return kept[:1]
-
-    def engine(tree, library, coupling, noise_aware, max_buffers=None,
-               power=None):
-        if len(tree.sinks) < min_sinks:
-            return default_engine(
-                tree, library, coupling, noise_aware, max_buffers,
-                dp_engine="fast", power=power,
-            )
-        options = DPOptions(
-            noise_aware=noise_aware,
-            track_counts=True,
-            max_buffers=max_buffers,
-            engine="fast",
-            power=power,
-        )
-        driver = tree.driver
-        if driver is None:
-            raise InfeasibleError(
-                f"tree {tree.name!r} has no driver cell; pass driver="
-            )
-        return _OverPruningFastEngine(
-            tree, library, coupling, options, driver
-        ).run()
-
-    return engine
-
-
-def planted_buggy_lishi_engine(min_sinks: int = 2) -> Engine:
-    """A lishi engine with deliberately over-eager dominance eviction.
-
-    On trees with at least ``min_sinks`` sinks the timing prune keeps
-    only the min-load candidate of every group — the same planted bug
-    as :func:`planted_buggy_fast_engine`, expressed through the lishi
-    engine's prune seam.  Because the lishi engine's claim is *semantic
-    equivalence* rather than bit-identity, this is the mutant the
-    equivalence harness must catch: every surviving candidate is still
-    self-consistent (the certificate passes), only the oracle or a
-    reference comparison notices the evicted optimum.
+    ground-truth comparison (or a reference comparison in the
+    equivalence harness) notices the evicted optimum.  The self-tests
+    assert the fuzz/shrink loop catches this.
     """
     from ..core.lishi_engine import LiShiEngine
 
@@ -263,9 +219,8 @@ class FuzzConfig:
     #: directory for counterexample JSON files (None: don't write).
     out_dir: Optional[str] = None
     max_counterexamples: int = 10
-    #: DP implementation under test (``"reference"``, ``"fast"``,
-    #: ``"lishi"``, or ``"auto"``) when no explicit engine callable is
-    #: passed to :func:`run_fuzz`.
+    #: DP implementation under test (``"reference"`` or ``"lishi"``)
+    #: when no explicit engine callable is passed to :func:`run_fuzz`.
     engine: str = "reference"
 
     def __post_init__(self) -> None:
@@ -274,10 +229,10 @@ class FuzzConfig:
         for mode in self.modes:
             if mode not in FUZZ_MODES:
                 raise ValueError(f"unknown fuzz mode {mode!r}")
-        if self.engine not in ENGINE_CHOICES:
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r} "
-                f"(expected one of {ENGINE_CHOICES})"
+                f"(expected one of {ENGINES})"
             )
 
 
@@ -612,7 +567,7 @@ def run_fuzz(
 
     ``engine`` defaults to the real DP in the implementation
     ``config.engine`` names; the self-test suite passes
-    :func:`planted_buggy_engine` / :func:`planted_buggy_fast_engine`
+    :func:`planted_buggy_engine` / :func:`planted_buggy_lishi_engine`
     instead and asserts the campaign catches them.
 
     ``tracer``/``metrics`` (see :mod:`repro.obs`) journal campaign

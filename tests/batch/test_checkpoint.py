@@ -171,12 +171,11 @@ class TestJournalRoundtrip:
 class TestCrossEngineResume:
     """A journal written under one engine resumes under another.
 
-    The DP engine — including any ``"auto"`` resolution, which never
-    reaches the options — is deliberately excluded from the checkpoint
+    The DP engine is deliberately excluded from the checkpoint
     fingerprint: engine choice changes how answers are computed, not
-    what they are.  An interrupted fast batch may therefore finish under
-    lishi; the recomputed nets are re-verified (``certify=True``), not
-    trusted.
+    what they are.  An interrupted reference batch may therefore finish
+    under lishi (and back); the recomputed nets are re-verified
+    (``certify=True``), not trusted.
     """
 
     def _config(self, engine):
@@ -184,13 +183,15 @@ class TestCrossEngineResume:
             max_buffers=4, keep_trees=False, certify=True, engine=engine
         )
 
-    def test_fast_journal_resumes_under_lishi(self, ckpt_dir):
+    def test_reference_journal_resumes_under_lishi(self, ckpt_dir):
         workload = WorkloadConfig(nets=8, seed=13)
         specs = population_specs(workload)
         path = ckpt_dir / "cross_engine.jsonl"
 
-        fast = BatchOptimizer(config=self._config("fast"), workload=workload)
-        partial = fast.optimize(specs[:5], checkpoint=path)
+        reference = BatchOptimizer(
+            config=self._config("reference"), workload=workload
+        )
+        partial = reference.optimize(specs[:5], checkpoint=path)
         assert all(r.ok for r in partial.results)
 
         lishi = BatchOptimizer(
@@ -203,31 +204,34 @@ class TestCrossEngineResume:
         # recomputed tail was re-verified under lishi, not trusted
         assert report.certified_count == 8
 
-        # the journaled head is kept verbatim (fast signatures), and the
-        # recomputed tail is genuinely lishi work (its signatures match
-        # an uninterrupted lishi run, and differ from fast's in general)
-        full_fast = BatchOptimizer(
-            config=self._config("fast"), workload=workload
+        # the journaled head is kept verbatim (reference signatures), and
+        # the recomputed tail is genuinely lishi work (its signatures
+        # match an uninterrupted lishi run, and differ from the
+        # reference's in general)
+        full_reference = BatchOptimizer(
+            config=self._config("reference"), workload=workload
         ).optimize(specs)
         full_lishi = BatchOptimizer(
             config=self._config("lishi"), workload=workload
         ).optimize(specs)
         resumed = report.signatures()
-        assert resumed[:5] == full_fast.signatures()[:5]
+        assert resumed[:5] == full_reference.signatures()[:5]
         assert resumed[5:] == full_lishi.signatures()[5:]
 
-    def test_auto_journal_resumes_under_explicit_engine(self, ckpt_dir):
-        # "auto" resolution stays out of the fingerprint too: a journal
-        # begun under auto reloads under an explicit engine and back
+    def test_lishi_journal_resumes_under_reference(self, ckpt_dir):
+        # the other direction: a journal begun under lishi reloads under
+        # the reference engine
         workload = WorkloadConfig(nets=4, seed=13)
         specs = population_specs(workload)
-        path = ckpt_dir / "auto_engine.jsonl"
-        auto = BatchOptimizer(config=self._config("auto"), workload=workload)
-        auto.optimize(specs[:2], checkpoint=path)
-        explicit = BatchOptimizer(
-            config=self._config("fast"), workload=workload
+        path = ckpt_dir / "lishi_engine.jsonl"
+        lishi = BatchOptimizer(
+            config=self._config("lishi"), workload=workload
         )
-        report = explicit.optimize(specs, checkpoint=path, resume=True)
+        lishi.optimize(specs[:2], checkpoint=path)
+        reference = BatchOptimizer(
+            config=self._config("reference"), workload=workload
+        )
+        report = reference.optimize(specs, checkpoint=path, resume=True)
         assert len(report.results) == 4
         assert all(r.ok for r in report.results)
 

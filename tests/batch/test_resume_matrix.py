@@ -6,10 +6,10 @@ the stitched report equals the appropriate uninterrupted reference —
 journaled head verbatim, recomputed tail identical to a clean run under
 the resuming engine.
 
-The cheap 3×3 matrix interrupts runs in-process (write half, resume the
-rest); the expensive legs SIGKILL a real subprocess mid-run over a
-*sharded* checkpoint and resume under a different shard count, stacking
-every recovery feature at once.
+The cheap matrix interrupts runs in-process (write half, resume the
+rest), journaling under each engine in turn; the expensive legs SIGKILL
+a real subprocess mid-run over a *sharded* checkpoint and resume under a
+different shard count, stacking every recovery feature at once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.workloads import WorkloadConfig, population_specs
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-ENGINES = ("reference", "fast", "lishi")
+ENGINES = ("reference", "lishi")
 EXECUTORS = {
     "serial": lambda: SerialExecutor(),
     "process": lambda: MultiprocessExecutor(workers=2),
@@ -71,9 +71,9 @@ class TestResumeMatrix:
         self, tmp_path, engine, executor_kind, full_signatures
     ):
         path = tmp_path / "matrix.jsonl"
-        # the interrupted incarnation: fast engine, serial, half done
+        # the interrupted incarnation: reference engine, serial, half done
         BatchOptimizer(
-            config=config_for("fast"), workload=WORKLOAD
+            config=config_for("reference"), workload=WORKLOAD
         ).optimize(SPECS[:HEAD], checkpoint=path)
 
         resumed = BatchOptimizer(
@@ -83,11 +83,32 @@ class TestResumeMatrix:
         ).optimize(SPECS, checkpoint=path, resume=True)
 
         signatures = resumed.signatures()
-        # journaled head verbatim (fast == reference bit-identically) ...
-        assert signatures[:HEAD] == full_signatures["fast"][:HEAD]
+        # journaled head verbatim ...
+        assert signatures[:HEAD] == full_signatures["reference"][:HEAD]
         # ... recomputed tail exactly as a clean run under the resuming
         # engine would have produced, whatever the executor
         assert signatures[HEAD:] == full_signatures[engine][HEAD:]
+
+    @pytest.mark.parametrize("executor_kind", sorted(EXECUTORS))
+    def test_resume_from_lishi_journal(
+        self, tmp_path, executor_kind, full_signatures
+    ):
+        path = tmp_path / "matrix.jsonl"
+        # the interrupted incarnation: lishi engine, serial, half done
+        BatchOptimizer(
+            config=config_for("lishi"), workload=WORKLOAD
+        ).optimize(SPECS[:HEAD], checkpoint=path)
+
+        resumed = BatchOptimizer(
+            config=config_for("reference"),
+            workload=WORKLOAD,
+            executor=EXECUTORS[executor_kind](),
+        ).optimize(SPECS, checkpoint=path, resume=True)
+
+        signatures = resumed.signatures()
+        # the lishi head is served verbatim, the tail is the reference's
+        assert signatures[:HEAD] == full_signatures["lishi"][:HEAD]
+        assert signatures[HEAD:] == full_signatures["reference"][HEAD:]
 
 
 class TestSigkillLegs:
@@ -99,7 +120,7 @@ class TestSigkillLegs:
 
     @pytest.mark.parametrize("engine,executor_kind", [
         ("reference", "serial"),
-        ("fast", "process"),
+        ("reference", "process"),
         ("lishi", "async"),
     ])
     def test_sigkill_then_resharded_resume(
@@ -120,7 +141,11 @@ class TestSigkillLegs:
             ").optimize_specs(population_specs(w),\n"
             f"    checkpoint={str(directory)!r}, shards=4)\n"
         )
-        process = subprocess.Popen([sys.executable, "-c", script])
+        # a session of its own, so the kill takes the executor's worker
+        # processes down with the batch instead of orphaning them
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], start_new_session=True
+        )
         try:
             deadline = time.monotonic() + 90.0
             while time.monotonic() < deadline:
@@ -135,7 +160,7 @@ class TestSigkillLegs:
                 time.sleep(0.005)
             else:
                 pytest.fail("shards never reached 5 results")
-            os.kill(process.pid, signal.SIGKILL)
+            os.killpg(process.pid, signal.SIGKILL)
         finally:
             process.wait()
 

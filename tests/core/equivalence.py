@@ -1,11 +1,12 @@
 """Semantic-equivalence harness for engines that drop bit-identity.
 
-The fast engine is held to *bit-identity* with the reference
-(`test_engine_differential.py`).  The lishi engine deliberately gives
-that up — lazy offsets reassociate float arithmetic, eager eviction and
-hull-mediated buffering change which of several equally-good candidates
-survives — so its correctness bar is **semantic equivalence**, asserted
-by three independent layers:
+The reference engine is the *bit-identity* anchor (its outcomes are
+pinned by `test_reference_digest.py` and `test_power_digest.py`).  The
+lishi engine deliberately gives bit-identity up — lazy offsets
+reassociate float arithmetic, eager eviction and hull-mediated buffering
+change which of several equally-good candidates survives — so its
+correctness bar is **semantic equivalence**, asserted by three
+independent layers:
 
 1. :func:`assert_outcomes_equivalent` — the *selected outcomes* (the
    per-count frontier the caller actually consumes) must match the

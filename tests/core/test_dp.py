@@ -20,8 +20,9 @@ from repro import (
     segment_tree,
     two_pin_net,
 )
-from repro.core.dp import DPCandidate, _Engine
+from repro.core.dp import ENGINES, DPCandidate, _Engine
 from repro.noise import has_noise_violation
+from repro.service.protocol import LEGACY_ENGINES
 from repro.timing import source_slack
 from repro.units import FF, MM, NS, PS
 
@@ -207,6 +208,24 @@ class TestOptions:
         builder.add_wire("so", "s", length=1 * MM)
         with pytest.raises(InfeasibleError):
             run_dp(builder.build(), tiny_lib, silent)
+
+
+class TestEngineOption:
+    def test_engines_are_reference_and_lishi(self):
+        assert ENGINES == ("reference", "lishi")
+
+    def test_default_engine_is_reference(self):
+        assert DPOptions().engine == "reference"
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            DPOptions(engine="turbo")
+
+    @pytest.mark.parametrize("retired", sorted(LEGACY_ENGINES))
+    def test_retired_engine_spellings_rejected(self, retired):
+        # Only the service wire keeps these spellings.
+        with pytest.raises(ValueError, match="unknown engine"):
+            DPOptions(engine=retired)
 
 
 class TestPruneRules:

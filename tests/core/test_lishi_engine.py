@@ -1,4 +1,4 @@
-"""Lishi engine: semantic equivalence, auto selection, planted mutants.
+"""Lishi engine: semantic equivalence and planted mutants.
 
 The lishi engine's contract is *semantic equivalence* with the
 reference (equal selected outcomes within the documented tolerance,
@@ -16,7 +16,6 @@ value).  A harness that cannot fail a broken engine gates nothing.
 import pathlib
 import sys
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 _HERE = pathlib.Path(__file__).resolve().parent
@@ -24,6 +23,7 @@ sys.path.insert(0, str(_HERE))
 sys.path.insert(0, str(_HERE.parent / "properties"))
 from equivalence import (  # noqa: E402
     assert_certificate_clean,
+    assert_oracle_optimal,
     assert_outcomes_equivalent,
     assert_semantic_equivalence,
 )
@@ -36,11 +36,7 @@ from repro import (  # noqa: E402
     default_technology,
     run_dp,
 )
-from repro.core import (  # noqa: E402
-    AUTO_LISHI_THRESHOLD,
-    WireSizingSpec,
-    resolve_auto_engine,
-)
+from repro.core import WireSizingSpec  # noqa: E402
 from repro.core.lishi_engine import LiShiEngine  # noqa: E402
 from repro.verify.treegen import seeded_tree  # noqa: E402
 
@@ -110,6 +106,31 @@ class TestSeededEquivalence:
                     context=f"seed {seed} noise_aware={noise_aware}",
                 )
 
+    def test_lishi_matches_oracle_on_small_nets(self):
+        # a two-buffer library keeps exhaustive enumeration cheap while
+        # still mixing buffers and inverters under count tracking
+        small = LIBRARY.restricted(["buf_x1", "inv_x2"])
+        checked = 0
+        seed = 0
+        while checked < 10:
+            tree = seeded_tree(seed, max_internal=3, with_rats=True)
+            seed += 1
+            sites = sum(
+                1 for n in tree.nodes() if n.is_internal and n.feasible
+            )
+            if not 1 <= sites <= 6:
+                continue
+            checked += 1
+            result = run_dp(
+                tree, small, COUPLING,
+                DPOptions(
+                    noise_aware=True, track_counts=True, engine="lishi"
+                ),
+            )
+            assert_oracle_optimal(
+                tree, result, small, COUPLING, True, tree.name
+            )
+
     def test_telemetry_reports_lishi(self):
         tree = seeded_tree(0, with_rats=True)
         result = run_dp(
@@ -118,66 +139,6 @@ class TestSeededEquivalence:
         )
         assert result.stats is not None
         assert result.stats.engine == "lishi"
-
-
-class TestAutoEngine:
-    """The size heuristic: sink count x library size vs the threshold."""
-
-    def test_small_net_resolves_fast(self):
-        tree = seeded_tree(0, with_rats=True)
-        assert len(tree.sinks) * len(LIBRARY) < AUTO_LISHI_THRESHOLD
-        assert resolve_auto_engine(tree, LIBRARY) == "fast"
-
-    def test_large_product_resolves_lishi(self):
-        # 128 sinks x the full library clears the threshold.
-        import numpy as np
-
-        from repro import DriverCell, SinkSite, segment_tree, steiner_tree
-        from repro.units import FF, MM, NS, UM
-
-        tech = default_technology()
-        rng = np.random.default_rng(9)
-        sites = [
-            SinkSite(
-                f"s{i}",
-                (float(rng.uniform(0, 8 * MM)), float(rng.uniform(0, 8 * MM))),
-                15 * FF, 0.8, 3 * NS,
-            )
-            for i in range(128)
-        ]
-        tree = segment_tree(
-            steiner_tree(
-                tech, (0.0, 0.0), sites,
-                driver=DriverCell("d", 250.0, 30e-12),
-            ),
-            500 * UM,
-        )
-        assert len(tree.sinks) * len(LIBRARY) >= AUTO_LISHI_THRESHOLD
-        assert resolve_auto_engine(tree, LIBRARY) == "lishi"
-
-    def test_auto_option_accepted_and_runs(self):
-        tree = seeded_tree(1, with_rats=True)
-        resolved = resolve_auto_engine(tree, LIBRARY)
-        auto = run_dp(
-            tree, LIBRARY, COUPLING,
-            DPOptions(engine="auto", noise_aware=True),
-        )
-        explicit = run_dp(
-            tree, LIBRARY, COUPLING,
-            DPOptions(engine=resolved, noise_aware=True),
-        )
-        assert auto.outcomes == explicit.outcomes
-
-    def test_resolution_is_stateless(self):
-        tree = seeded_tree(2, with_rats=True)
-        first = resolve_auto_engine(tree, LIBRARY)
-        assert all(
-            resolve_auto_engine(tree, LIBRARY) == first for _ in range(3)
-        )
-
-    def test_unknown_engine_still_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            DPOptions(engine="turbo")
 
 
 def _run_with(engine_cls):

@@ -38,7 +38,7 @@ def test_dp_result_delay_mode_ignores_coupling(y_tree, library, coupling):
 # -- deprecation shims -----------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "lishi"])
 def test_buffopt_shim_parity(y_tree, library, coupling, engine):
     with pytest.warns(DeprecationWarning, match="buffopt_result"):
         legacy = buffopt_result(
@@ -52,7 +52,7 @@ def test_buffopt_shim_parity(y_tree, library, coupling, engine):
     assert legacy.candidates_generated == modern.candidates_generated
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "lishi"])
 def test_delay_opt_shim_parity(y_tree, library, engine):
     with pytest.warns(DeprecationWarning, match="delay_opt_result"):
         legacy = delay_opt_result(
@@ -101,11 +101,11 @@ def test_session_optimize_buffopt(y_tree, library, coupling, tech):
 
 def test_session_optimize_delay_matches_raw_dp(y_tree, library, tech):
     options = SessionOptions(
-        mode="delay", engine="fast", max_segment_length=None
+        mode="delay", engine="lishi", max_segment_length=None
     )
     with Session(options, library=library, technology=tech) as session:
         outcome = session.optimize(y_tree)
-    raw = dp_result(y_tree, library, mode="delay", engine="fast")
+    raw = dp_result(y_tree, library, mode="delay", engine="lishi")
     assert outcome.result.outcomes == raw.outcomes
     assert outcome.tree is y_tree  # segmentation disabled: same tree
     assert outcome.slack == raw.best(require_noise=False).slack

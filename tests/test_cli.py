@@ -55,9 +55,9 @@ def test_missing_subcommand_is_usage_error(capsys):
 ])
 def test_every_subcommand_accepts_the_common_trio(argv):
     args = build_parser().parse_args(
-        argv + ["--engine", "fast", "--seed", "7", "--json"]
+        argv + ["--engine", "lishi", "--seed", "7", "--json"]
     )
-    assert args.engine == "fast"
+    assert args.engine == "lishi"
     assert args.seed == 7
     assert args.json is True
 
@@ -105,12 +105,12 @@ def test_export_then_fix_json_round_trip(capsys, tmp_path):
     assert len(net_files) == 1
 
     code, fix = run_json(
-        capsys, "fix", str(net_files[0]), "--engine", "fast"
+        capsys, "fix", str(net_files[0]), "--engine", "lishi"
     )
     assert code == EXIT_OK
     assert fix["kind"] == "buffopt-fix-report"
     assert fix["mode"] == "buffopt"
-    assert fix["engine"] == "fast"
+    assert fix["engine"] == "lishi"
     assert fix["after"]["violations"] == 0
     assert fix["after"]["buffers"] == len(fix["assignment"])
 
@@ -172,11 +172,11 @@ def test_trace_summarize_on_real_trace(capsys, tmp_path):
 
 def test_batch_traced_run_is_bit_identical(capsys, tmp_path):
     code, plain = run_json(
-        capsys, "batch", "--nets", "3", "--engine", "fast"
+        capsys, "batch", "--nets", "3", "--engine", "lishi"
     )
     assert code == EXIT_OK
     code, traced = run_json(
-        capsys, "batch", "--nets", "3", "--engine", "fast",
+        capsys, "batch", "--nets", "3", "--engine", "lishi",
         "--trace", str(tmp_path / "t.jsonl"),
         "--metrics", str(tmp_path / "t.prom"),
     )

@@ -1,6 +1,10 @@
 """Tests for repro.tree.steiner — rectilinear topology generation."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -143,3 +147,29 @@ class TestSteinerTree:
         tree = steiner_tree(tech, (0.0, 0.0), sites(points))
         assert len(tree.sinks) == n
         assert tree.is_binary
+
+
+_WIRE_LIST_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.workloads import WorkloadConfig, generate_population
+for net in generate_population(WorkloadConfig(nets=60, seed=7)):
+    for wire in net.tree.wires():
+        print(wire.parent.name, wire.child.name, repr(wire.length))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_population_wire_lists_ignore_pythonhashseed(self):
+        """Node names and wire order must not follow string hashing."""
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        script = _WIRE_LIST_SCRIPT.format(src=src)
+        outputs = []
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout)
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
