@@ -14,7 +14,8 @@ from repro import (
     steiner_tree,
     two_pin_net,
 )
-from repro.core import buffopt_result, optimize_delay
+from repro.api import Objective, dp_result
+from repro.core import optimize_delay
 from repro.units import FF, MM, NS, UM
 
 TECH = default_technology()
@@ -66,8 +67,11 @@ def test_buffopt_segmentation_scaling(benchmark, segment_um):
     tree = segment_tree(net, segment_um * UM)
 
     def run():
-        result = buffopt_result(tree, LIBRARY, COUPLING, max_buffers=6)
-        return result.fewest_buffers()
+        buffopt = Objective.legacy("buffopt")
+        result = dp_result(
+            tree, LIBRARY, COUPLING, max_buffers=6, objective=buffopt
+        )
+        return result.select(buffopt)
 
     outcome = benchmark(run)
     assert outcome.buffer_count >= 2

@@ -31,6 +31,7 @@ import argparse
 import sys
 from time import perf_counter
 
+from repro.api import Objective
 from repro.batch import (
     BatchConfig,
     BatchOptimizer,
@@ -51,7 +52,7 @@ def run_fleet(
 ):
     optimizer = BatchOptimizer(
         config=BatchConfig(
-            mode=mode,
+            objective=Objective.legacy(mode),
             max_buffers=4,
             collect_stats=collect_stats,
             keep_trees=False,

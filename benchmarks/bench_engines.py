@@ -41,6 +41,7 @@ import random
 import sys
 from time import perf_counter
 
+from repro.api import Objective
 from repro.batch import BatchConfig, BatchOptimizer, SerialExecutor
 from repro.core.dp import DPOptions, run_dp
 from repro.library.buffers import default_buffer_library
@@ -58,6 +59,7 @@ EIGHT_BUFFER_NAMES = (
 )
 
 MODES = ("delay", "buffopt")
+BUFFOPT = Objective.legacy("buffopt")
 ENGINE_ORDER = ("reference", "lishi")
 
 #: semantic-equivalence tolerance, mirrored from tests/core/equivalence.py.
@@ -181,13 +183,13 @@ def overhead_gate(sinks: int, repeats: int, budget: float = 0.02) -> bool:
 
         start = perf_counter()
         plain = dp_result(
-            tree, library, coupling, mode="buffopt", max_buffers=4
+            tree, library, coupling, objective=BUFFOPT, max_buffers=4
         )
         facade_best = min(facade_best, perf_counter() - start)
 
         start = perf_counter()
         traced = dp_result(
-            tree, library, coupling, mode="buffopt", max_buffers=4,
+            tree, library, coupling, objective=BUFFOPT, max_buffers=4,
             profile=profiler,
         )
         traced_best = min(traced_best, perf_counter() - start)
@@ -231,7 +233,7 @@ def regression_family(nets: int, seed: int):
         for engine in ENGINE_ORDER:
             optimizer = BatchOptimizer(
                 config=BatchConfig(
-                    mode=mode,
+                    objective=Objective.legacy(mode),
                     max_buffers=4,
                     keep_trees=False,
                     certify=True,

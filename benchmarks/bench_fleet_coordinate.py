@@ -30,6 +30,7 @@ import json
 import sys
 from time import perf_counter
 
+from repro.api import Objective
 from repro.batch import BatchConfig, BatchOptimizer
 from repro.fleet import FleetConfig, FleetCoordinator, PriceSchedule
 from repro.units import PS
@@ -76,7 +77,9 @@ def main(argv=None) -> int:
     workload = WorkloadConfig(nets=nets, seed=args.seed)
     specs = population_specs(workload)
 
-    batch_config = BatchConfig(mode="delay", keep_trees=False)
+    batch_config = BatchConfig(
+        objective=Objective.legacy("delay"), keep_trees=False
+    )
     config = FleetConfig(
         batch=batch_config,
         sites_per_family=sites,

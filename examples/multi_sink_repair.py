@@ -20,11 +20,13 @@ Run:  python examples/multi_sink_repair.py
 from repro import (
     CouplingModel,
     DriverCell,
+    Objective,
     SinkSite,
     analyze_noise,
     buffopt_min_buffers,
     default_buffer_library,
     default_technology,
+    dp_result,
     insert_buffers_multi_sink,
     optimize_delay,
     segment_tree,
@@ -89,10 +91,13 @@ def main() -> None:
 
     # Apples to apples (the Table IV methodology): rerun DelayOpt limited
     # to the same number of buffers BuffOpt chose.
-    from repro.core import best_within_count, delay_opt_result
+    from repro.core import best_within_count
 
     matched = best_within_count(
-        delay_opt_result(tree, library, max_buffers=buffopt.buffer_count),
+        dp_result(
+            tree, library, max_buffers=buffopt.buffer_count,
+            objective=Objective.legacy("delay"),
+        ),
         buffopt.buffer_count,
     )
     d_matched = max_sink_delay(tree, matched.buffer_map())

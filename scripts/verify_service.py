@@ -11,11 +11,13 @@ It runs a fixed battery of checks (probes, submit lifecycle, strict
 validation, determinism-via-resubmit, metrics exposure, 404/405/409
 semantics) and prints ONE line of strict JSON on stdout:
 
-    {"kind": "buffopt-service-verify", "url": ..., "protocol": 1,
+    {"kind": "buffopt-service-verify", "url": ..., "protocol": 2,
      "checks": [{"name": ..., "ok": true, "detail": ...}, ...],
      "passed": N, "failed": M, "verdict": "PASS" | "FAIL"}
 
-Exit code 0 iff every check passed.  Diagnostics go to stderr.  The CI
+``"protocol"`` is the wire version this battery speaks; every submit
+response must echo exactly that version.  Exit code 0 iff every check
+passed.  Diagnostics go to stderr.  The CI
 service smoke job runs this against a freshly started server and
 archives the JSON next to the journal and metrics artifacts.
 """
@@ -27,7 +29,8 @@ import time
 import urllib.error
 import urllib.request
 
-PROTOCOL = 1
+#: the protocol the server answers with (the v2 objective block).
+PROTOCOL = 2
 
 #: the battery's one well-formed work unit (tiny: the verifier checks
 #: the lifecycle, not the DP).

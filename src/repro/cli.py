@@ -60,12 +60,10 @@ prints the package version.
 Every optimizing subcommand (``fix``/``batch``/``fleet``/``fuzz``/
 ``serve``/``loadtest``) additionally speaks the single structured
 ``--objective mode[/selection][/key=value...]`` spec
-(:meth:`repro.core.objective.Objective.parse`).  The per-command
-``--mode`` flags remain as deprecated shims — each maps to the
-*identical* legacy objective, prints a one-line note on stderr, and is
-mutually exclusive with ``--objective`` (both at once exits 2).  The
-one survivor is ``fix --mode noise``: Algorithm 2's continuous
-placement is not a DP objective, so it stays a mode.
+(:meth:`repro.core.objective.Objective.parse`); without it they
+optimize ``Objective.legacy("buffopt")``.  The one ``--mode`` flag left
+is ``fix --mode noise``: Algorithm 2's continuous placement is not a DP
+objective, so it stays a mode.
 
 Exit codes (the single source of truth; pinned by the CLI tests):
 
@@ -146,8 +144,8 @@ _OBJECTIVE_HELP = (
     " — modes: buffopt, delay; selections include fewest-buffers, "
     "max-slack, min-power, power-capped, pareto; keys: min_slack, "
     "power_cap, require_noise (e.g. "
-    "'buffopt/power-capped/power_cap=2e-4'). Replaces the deprecated "
-    "--mode; a bare mode means exactly what --mode meant"
+    "'buffopt/power-capped/power_cap=2e-4'); a bare mode picks its "
+    "classic selection (buffopt: fewest-buffers, delay: max-slack)"
 )
 
 
@@ -160,45 +158,24 @@ def _add_objective_option(
     )
 
 
-def _resolve_objective_flags(
+def _objective_from_args(
     args: argparse.Namespace, *, command: str
 ):
-    """Reconcile ``--objective`` with the deprecated ``--mode``.
+    """The ``--objective`` spec as an :class:`~repro.core.objective.Objective`.
 
-    Returns the resolved :class:`~repro.core.objective.Objective`, or
+    Returns ``Objective.legacy("buffopt")`` when the flag is absent, or
     ``None`` after printing a usage error (callers exit
-    :data:`EXIT_USAGE`).  An explicit ``--mode`` still works — it maps
-    to the identical legacy objective — but earns a one-line
-    deprecation note on stderr.
+    :data:`EXIT_USAGE`).
     """
     from .core.objective import Objective
 
-    spec = getattr(args, "objective", None)
-    mode = getattr(args, "mode", None)
-    if spec is not None and mode is not None:
-        print(
-            f"buffopt {command}: --objective and the deprecated --mode "
-            "are mutually exclusive; pass only --objective",
-            file=sys.stderr,
-        )
+    if args.objective is None:
+        return Objective.legacy("buffopt")
+    try:
+        return Objective.parse(args.objective)
+    except ValueError as exc:
+        print(f"buffopt {command}: bad --objective: {exc}", file=sys.stderr)
         return None
-    if spec is not None:
-        try:
-            return Objective.parse(spec)
-        except ValueError as exc:
-            print(
-                f"buffopt {command}: bad --objective: {exc}",
-                file=sys.stderr,
-            )
-            return None
-    if mode is not None:
-        print(
-            f"note: --mode is deprecated; use --objective {mode} "
-            "(see docs/usage.md)",
-            file=sys.stderr,
-        )
-        return Objective.legacy(mode)
-    return Objective.legacy("buffopt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,11 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("net", help="path to the JSON net description")
     fix.add_argument(
         "--mode",
-        choices=["buffopt", "delay", "noise"],
+        choices=["noise"],
         default=None,
         help="noise: Algorithm 2 continuous noise-only placement (not a "
-        "DP objective, so it stays a mode); buffopt/delay are deprecated "
-        "spellings of --objective buffopt / --objective delay",
+        "DP objective, so it stays a mode)",
     )
     _add_objective_option(fix)
     fix.add_argument(
@@ -252,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(
         fix,
         seed_help="workload seed" + _UNUSED,
-        engine_help="DP implementation for --mode buffopt/delay "
-        "(bit-identical results; ignored by --mode noise)",
+        engine_help="DP implementation for --objective: reference or "
+        "lishi (equivalent outcomes within float tolerance; ignored by "
+        "--mode noise)",
     )
 
     sens = subparsers.add_parser(
@@ -282,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimize a generated net fleet with a pluggable executor",
     )
     batch.add_argument("--nets", type=int, default=200, help="fleet size")
-    batch.add_argument(
-        "--mode", choices=["buffopt", "delay"], default=None,
-        help="deprecated: use --objective buffopt / --objective delay",
-    )
     _add_objective_option(batch)
     batch.add_argument(
         "--executor",
@@ -412,13 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
         "with Lagrangian prices (see docs/algorithms.md section 9)",
     )
     fleet.add_argument("--nets", type=int, default=50, help="fleet size")
-    fleet.add_argument(
-        "--mode", choices=["buffopt", "delay"], default=None,
-        help="deprecated: use --objective (delay-mode objectives "
-        "additionally report a Lagrangian dual bound on the fleet's "
-        "total slack)",
+    _add_objective_option(
+        fleet,
+        help_text=_OBJECTIVE_HELP + "; delay-mode objectives additionally "
+        "report a Lagrangian dual bound on the fleet's total slack",
     )
-    _add_objective_option(fleet)
     fleet.add_argument(
         "--executor",
         choices=["serial", "process", "chunked", "async"],
@@ -691,10 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct nets; the rest repeat, exercising the cache "
         "(default 32)",
     )
-    loadtest.add_argument(
-        "--mode", choices=["buffopt", "delay"], default=None,
-        help="deprecated: use --objective",
-    )
     _add_objective_option(
         loadtest,
         help_text="objective every request carries (non-legacy shapes "
@@ -807,7 +774,7 @@ def _run_fix(args: argparse.Namespace) -> int:
         objective = None
         mode_label = "noise"
     else:
-        objective = _resolve_objective_flags(args, command="fix")
+        objective = _objective_from_args(args, command="fix")
         if objective is None:
             return EXIT_USAGE
         mode_label = objective.describe()
@@ -935,7 +902,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     if args.shards is not None and not args.checkpoint:
         print("--shards requires --checkpoint DIR", file=sys.stderr)
         return EXIT_USAGE
-    objective = _resolve_objective_flags(args, command="batch")
+    objective = _objective_from_args(args, command="batch")
     if objective is None:
         return EXIT_USAGE
 
@@ -1044,7 +1011,7 @@ def _run_fleet(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint PATH", file=sys.stderr)
         return EXIT_USAGE
-    objective = _resolve_objective_flags(args, command="fleet")
+    objective = _objective_from_args(args, command="fleet")
     if objective is None:
         return EXIT_USAGE
 
@@ -1281,14 +1248,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         run_stdio,
     )
 
-    if args.objective is not None:
-        from .core.objective import Objective
-
-        try:
-            Objective.parse(args.objective)
-        except ValueError as exc:
-            print(f"buffopt serve: bad --objective: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    if _objective_from_args(args, command="serve") is None:
+        return EXIT_USAGE
 
     events = None
     if args.events:
@@ -1371,7 +1332,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
         write_bench_sidecar,
     )
 
-    objective = _resolve_objective_flags(args, command="loadtest")
+    objective = _objective_from_args(args, command="loadtest")
     if objective is None:
         return EXIT_USAGE
     if objective.selection == "pareto":

@@ -29,7 +29,6 @@ the candidate arithmetic (tested).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -289,10 +288,8 @@ class DPResult:
     several outcomes may share a count, ordered by rising power (and
     hence rising slack) within it.
 
-    Outcome selection is unified behind :meth:`select`, which consumes a
-    structured :class:`~repro.core.objective.Objective`; the historical
-    per-rule methods (:meth:`best`, :meth:`fewest_buffers`,
-    :meth:`minimize_cost`) remain as parity-pinned deprecation shims.
+    Outcome selection goes through :meth:`select`, which consumes a
+    structured :class:`~repro.core.objective.Objective`.
     """
 
     tree: RoutingTree
@@ -309,9 +306,8 @@ class DPResult:
 
         Returns one :class:`DPOutcome` for every selection rule except
         ``"pareto"``, which returns the nondominated tuple from
-        :meth:`pareto_outcomes`.  This is the non-deprecated selection
-        surface; the rule-specific methods below document each rule's
-        exact tie-breaks.
+        :meth:`pareto_outcomes`.  The rule-specific methods below
+        document each rule's exact tie-breaks.
         """
         if objective.selection == "max-slack":
             return self._best(objective.require_noise)
@@ -333,16 +329,6 @@ class DPResult:
             f"unknown objective selection {objective.selection!r}"
         )
 
-    def best(self, require_noise: Optional[bool] = None) -> DPOutcome:
-        """Deprecated shim for ``select(Objective(selection="max-slack"))``."""
-        warnings.warn(
-            "DPResult.best is deprecated; use DPResult.select with an "
-            "Objective(selection='max-slack')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._best(require_noise)
-
     def _best(self, require_noise: Optional[bool] = None) -> DPOutcome:
         """Maximum-slack outcome (Problem 2 when ``require_noise``).
 
@@ -351,18 +337,6 @@ class DPResult:
         """
         pool = self._noise_pool(require_noise)
         return max(pool, key=lambda o: (o.slack, -o.buffer_count, -o.power))
-
-    def fewest_buffers(
-        self, min_slack: float = 0.0, require_noise: Optional[bool] = None
-    ) -> DPOutcome:
-        """Deprecated shim for ``select(Objective(selection="fewest-buffers"))``."""
-        warnings.warn(
-            "DPResult.fewest_buffers is deprecated; use DPResult.select "
-            "with an Objective(selection='fewest-buffers')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._fewest_buffers(min_slack, require_noise)
 
     def _fewest_buffers(
         self, min_slack: float = 0.0, require_noise: Optional[bool] = None
@@ -378,65 +352,6 @@ class DPResult:
         if meeting:
             return min(meeting, key=lambda o: (o.buffer_count, -o.slack))
         return max(pool, key=lambda o: (o.slack, -o.buffer_count))
-
-    def minimize_cost(
-        self,
-        cost,
-        min_slack: float = 0.0,
-        require_noise: Optional[bool] = None,
-    ) -> DPOutcome:
-        """Deprecated shim for the Lillis weighted-cost selection.
-
-        The physical-power successor is ``select`` with a ``min-power``
-        objective on a power-model run; this shim keeps the arbitrary
-        per-buffer weight callback for parity.
-        """
-        warnings.warn(
-            "DPResult.minimize_cost is deprecated; run the DP with "
-            "DPOptions(power=...) and use DPResult.select with an "
-            "Objective(selection='min-power')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._minimize_cost(cost, min_slack, require_noise)
-
-    def _minimize_cost(
-        self,
-        cost,
-        min_slack: float = 0.0,
-        require_noise: Optional[bool] = None,
-    ) -> DPOutcome:
-        """Lillis-style cost objective over the per-count frontier.
-
-        ``cost`` maps a :class:`~repro.library.BufferType` to a
-        non-negative weight (area, leakage, ...); the outcome minimizing
-        the summed weight of its insertions is returned, among outcomes
-        meeting ``min_slack`` (falling back to the max-slack outcome when
-        none does, like :meth:`_fewest_buffers`).  With ``cost = lambda b:
-        1`` this reduces to Problem 3 exactly.
-
-        Note the search runs over the count-indexed best-slack frontier —
-        the DP optimizes slack per count, so a same-count solution with
-        lower cost but worse (still sufficient) slack is not represented;
-        for uniform costs this is exact, for non-uniform costs it is the
-        standard frontier heuristic.  The ``min-power`` selection over a
-        power-model run does not share this caveat: the engine keeps the
-        per-count (slack, power) frontier.
-        """
-        require = self.options.noise_aware if require_noise is None else require_noise
-        pool = [o for o in self.outcomes if o.noise_feasible or not require]
-        if not pool:
-            raise InfeasibleError(
-                f"net {self.tree.name!r}: no noise-feasible solution exists"
-            )
-        meeting = [o for o in pool if o.slack >= min_slack]
-        if not meeting:
-            return max(pool, key=lambda o: (o.slack, -o.buffer_count))
-
-        def total(outcome: DPOutcome) -> float:
-            return sum(cost(ins.buffer) for ins in outcome.insertions)
-
-        return min(meeting, key=lambda o: (total(o), -o.slack))
 
     def min_power(
         self, min_slack: float = 0.0, require_noise: Optional[bool] = None

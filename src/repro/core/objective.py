@@ -1,22 +1,19 @@
 """Structured optimization objective: mode + selection rule + constraints.
 
-``dp_result`` historically took a ``mode=`` string and callers then
-picked an outcome by hand with one of three ad-hoc ``DPResult``
-selection methods (``best``, ``fewest_buffers``, ``minimize_cost``).
-Adding power as a third objective axis would have pushed that surface
-past maintainability, so selection is now a *value*: an
-:class:`Objective` names the DP mode (which recurrence runs), the
-selection rule (which outcome wins), and the constraints the rule
-applies (slack floor, power cap, noise requirement).  One objective
-travels unchanged through the Python API, batch configs, the service
+Selection is a *value*: an :class:`Objective` names the DP mode (which
+recurrence runs), the selection rule (which outcome wins), and the
+constraints the rule applies (slack floor, power cap, noise
+requirement).  One objective travels unchanged through the Python API
+(``dp_result(..., objective=o).select(o)``), batch configs, the service
 protocol, and the CLI ``--objective`` grammar.
 
-The legacy surfaces remain as parity-pinned :class:`DeprecationWarning`
-shims (same treatment as the PR 5 facade): ``mode="buffopt"`` maps to
-``Objective(mode="buffopt", selection="fewest-buffers")`` and
-``mode="delay"`` to ``Objective(mode="delay", selection="max-slack",
-require_noise=False)`` — bit-identical by construction, enforced by
-tests.
+The paper's two tool configurations are :meth:`Objective.legacy`
+objectives: ``legacy("buffopt")`` is ``Objective(mode="buffopt",
+selection="fewest-buffers")`` (BuffOpt, Problem 3) and
+``legacy("delay")`` is ``Objective(mode="delay", selection="max-slack",
+require_noise=False)`` (DelayOpt).  Service requests and checkpoints
+written before the objective existed carry a bare mode and slack
+floor; they parse to these objectives and keep their old fingerprints.
 
 This module lives in ``repro.core`` (not ``repro.api``) because
 ``DPResult.select`` consumes objectives; ``repro.api`` re-exports
@@ -79,8 +76,8 @@ class Objective:
       service) reject it.
 
     ``require_noise`` overrides the default noise filter (which is
-    "noise-aware iff mode is buffopt"); the legacy delay path pinned
-    ``require_noise=False`` and its shim preserves that.  Tie-breaks
+    "noise-aware iff mode is buffopt"); the DelayOpt objective
+    ``legacy("delay")`` pins ``require_noise=False``.  Tie-breaks
     are fixed per rule and documented on the ``DPResult`` methods.
     """
 
@@ -147,7 +144,7 @@ class Objective:
         return self.selection in POWER_SELECTIONS
 
     def is_legacy(self) -> bool:
-        """True when this objective is exactly a legacy ``mode=`` shim.
+        """True when this objective is exactly ``legacy(mode, min_slack)``.
 
         Legacy-shaped objectives serialize to the *old* request/config
         fingerprint schema so caches and checkpoints written before the
@@ -160,7 +157,8 @@ class Objective:
 
     @classmethod
     def legacy(cls, mode: str, min_slack: float = 0.0) -> "Objective":
-        """The objective the legacy ``mode=`` string stood for."""
+        """The paper's tool configuration for ``mode``: BuffOpt
+        (fewest buffers meeting ``min_slack``) or DelayOpt (max slack)."""
         if mode == "buffopt":
             return cls(
                 mode="buffopt",
@@ -239,9 +237,8 @@ class Objective:
             buffopt/power-capped/power_cap=2e-4
             delay/max-slack/min_slack=0.1/require_noise=false
 
-        A bare mode maps to its legacy default selection so
-        ``--objective buffopt`` means exactly what ``--mode buffopt``
-        meant.
+        A bare mode maps to :meth:`legacy`: ``buffopt`` is BuffOpt's
+        fewest-buffers selection, ``delay`` DelayOpt's max slack.
         """
         if not isinstance(spec, str) or not spec.strip():
             raise ValueError("objective spec must be a non-empty string")

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 from ..core.dp import DPOptions, run_dp
 from ..core.noise_multi import insert_buffers_multi_sink
 from ..core.noise_sites import noise_aware_segmentation
+from ..core.objective import Objective
 from ..core.wire_sizing import WireSizingSpec
 from ..errors import InfeasibleError
 from ..tree.segmenting import segment_tree
@@ -140,7 +141,7 @@ def noise_sites_ablation(
                 sited, experiment.library, experiment.coupling,
                 DPOptions(noise_aware=True, track_counts=True, max_buffers=8),
             )
-            best = result._fewest_buffers()
+            best = result.select(Objective.legacy("buffopt"))
         except InfeasibleError:
             continue
         usable += 1

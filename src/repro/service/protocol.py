@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.dp import ENGINES
-from ..core.objective import Objective
+from ..core.objective import OBJECTIVE_MODES, Objective
 from ..units import UM
 
 #: bump when the request/response schema changes incompatibly; echoed in
@@ -51,9 +51,6 @@ PROTOCOL_VERSION = 2
 #: the version-1 form, so resuming a v1 journal is exact, not a best
 #: effort.
 COMPATIBLE_PROTOCOLS = (1, 2)
-
-#: optimization modes the service accepts (mirrors the batch layer).
-MODES = ("buffopt", "delay")
 
 #: pruning rules the service accepts.
 PRUNE_CHOICES = ("timing", "pareto")
@@ -182,12 +179,13 @@ class CanonicalRequest:
     sink_count: int
     span: float
     seed: int
+    #: the optimization objective.  A version-1 request (top-level
+    #: ``mode`` / ``min_slack``) parses to :meth:`Objective.legacy`.
+    objective: Objective = Objective.legacy("buffopt")
     #: engine policy, mirroring :class:`~repro.batch.BatchConfig`.
-    mode: str = "buffopt"
     engine: str = "reference"
     max_buffers: Optional[int] = None
     prune: str = "timing"
-    min_slack: float = 0.0
     max_segment_length: Optional[float] = DEFAULT_SEGMENT_LENGTH
     #: per-request guards, mapped onto a fresh
     #: :class:`~repro.core.budget.RunBudget` inside the worker.
@@ -195,16 +193,12 @@ class CanonicalRequest:
     max_candidates: Optional[int] = None
     #: independently certify the outcome before answering.
     certify: bool = False
-    #: structured objective (protocol v2).  ``None`` means the legacy
-    #: ``mode`` semantics; when set, ``mode`` always equals
-    #: ``objective.mode`` (the parser enforces it).
-    objective: Optional[Objective] = None
 
     def to_json(self) -> Dict[str, Any]:
         """The canonical wire form (also what the journal stores).
 
-        Legacy-shaped objectives (``None``, or exactly what the old
-        ``mode=`` strings meant) deliberately emit the version-1 form —
+        Legacy-shaped objectives (exactly what a version-1 ``mode`` /
+        ``min_slack`` pair means) deliberately emit the version-1 form —
         no ``objective`` key — so their fingerprints, and therefore the
         journal-backed cache entries of every pre-objective deployment,
         stay valid.
@@ -216,17 +210,17 @@ class CanonicalRequest:
                 "span": self.span,
                 "seed": self.seed,
             },
-            "mode": self.mode,
+            "mode": self.objective.mode,
             "engine": self.engine,
             "max_buffers": self.max_buffers,
             "prune": self.prune,
-            "min_slack": self.min_slack,
+            "min_slack": self.objective.min_slack,
             "max_segment_length": self.max_segment_length,
             "deadline_seconds": self.deadline_seconds,
             "max_candidates": self.max_candidates,
             "certify": self.certify,
         }
-        if self.objective is not None and not self.objective.is_legacy():
+        if not self.objective.is_legacy():
             # The objective block carries mode and min_slack itself; the
             # top-level twins are dropped so the canonical form has one
             # unambiguous spelling per request (and the parser's
@@ -359,10 +353,15 @@ def parse_request(payload: Any) -> CanonicalRequest:
                 "min-power or power-capped instead",
             )
         kwargs["objective"] = objective
-        kwargs["mode"] = objective.mode
-        kwargs["min_slack"] = objective.min_slack
-    if "mode" in payload:
-        kwargs["mode"] = _want_choice("mode", payload["mode"], MODES)
+    else:
+        # Version 1: the top-level mode / min_slack pair.
+        mode = "buffopt"
+        min_slack = 0.0
+        if "mode" in payload:
+            mode = _want_choice("mode", payload["mode"], OBJECTIVE_MODES)
+        if "min_slack" in payload:
+            min_slack = _want_number("min_slack", payload["min_slack"])
+        kwargs["objective"] = Objective.legacy(mode, min_slack=min_slack)
     if "engine" in payload:
         kwargs["engine"] = _want_choice(
             "engine", payload["engine"], WIRE_ENGINES
@@ -375,8 +374,6 @@ def parse_request(payload: Any) -> CanonicalRequest:
         kwargs["prune"] = _want_choice(
             "prune", payload["prune"], PRUNE_CHOICES
         )
-    if "min_slack" in payload:
-        kwargs["min_slack"] = _want_number("min_slack", payload["min_slack"])
     if "max_segment_length" in payload:
         value = payload["max_segment_length"]
         kwargs["max_segment_length"] = (

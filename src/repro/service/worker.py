@@ -46,35 +46,19 @@ def batch_config_for(request: CanonicalRequest) -> BatchConfig:
     """The request's engine policy as a :class:`~repro.batch.BatchConfig`.
 
     ``keep_trees=False``: the service ships assignments over the wire,
-    never trees.  A v2 objective block passes through as the batch
-    objective; legacy requests keep the ``mode=`` path (which
-    ``BatchConfig`` resolves to the identical legacy objective).
-    Retired engine spellings run on their successor engine.
+    never trees.  The request's objective passes through as the batch
+    objective.  Retired engine spellings run on their successor engine.
     """
-    engine = execution_engine(request.engine)
-    if request.objective is not None:
-        return BatchConfig(
-            objective=request.objective,
-            max_segment_length=request.max_segment_length,
-            max_buffers=request.max_buffers,
-            prune=request.prune,
-            keep_trees=False,
-            net_deadline=request.deadline_seconds,
-            net_max_candidates=request.max_candidates,
-            certify=request.certify,
-            engine=engine,
-        )
     return BatchConfig(
-        mode=request.mode,
+        objective=request.objective,
         max_segment_length=request.max_segment_length,
         max_buffers=request.max_buffers,
         prune=request.prune,
-        min_slack=request.min_slack,
         keep_trees=False,
         net_deadline=request.deadline_seconds,
         net_max_candidates=request.max_candidates,
         certify=request.certify,
-        engine=engine,
+        engine=execution_engine(request.engine),
     )
 
 

@@ -5,9 +5,9 @@ be enumerated: every assignment of (no buffer | one of ``b`` library
 buffers) to each of ``s`` sites is ``(b+1)^s`` cases, each evaluated by
 the independent certificate recursion (:mod:`.certificate`), never by
 the engine under test.  The resulting :class:`OracleResult` mirrors
-:class:`~repro.core.dp.DPResult`'s selection API (``best`` /
-``fewest_buffers`` / ``minimize_cost``) so the DP's answers can be
-checked for *optimality*, not mere feasibility.
+each selection rule of :meth:`~repro.core.dp.DPResult.select` (``best``
+/ ``fewest_buffers`` / ``min_power`` / ``power_capped``) so the DP's
+answers can be checked for *optimality*, not mere feasibility.
 
 What may be asserted, and when:
 
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.objective import Objective
 from ..core.wire_sizing import WireSizingSpec, apply_wire_widths
 from ..errors import InfeasibleError, ReproError
 from ..library.buffers import BufferLibrary, BufferType
@@ -109,36 +110,6 @@ class OracleResult:
         if meeting:
             return min(meeting, key=lambda o: (o.buffer_count, -o.slack))
         return max(pool, key=lambda o: (o.slack, -o.buffer_count))
-
-    def minimize_cost(
-        self,
-        cost,
-        library: BufferLibrary,
-        min_slack: float = 0.0,
-        require_noise: Optional[bool] = None,
-    ) -> OracleOutcome:
-        """Minimum summed buffer cost meeting ``min_slack``.
-
-        Unlike :meth:`DPResult.minimize_cost`, which searches the
-        count-indexed best-slack frontier, this searches *all* legal
-        assignments — it is the true optimum the frontier heuristic
-        approximates.
-        """
-        pool = self._pool(require_noise)
-        if not pool:
-            raise InfeasibleError(
-                f"oracle for {self.tree_name!r}: no noise-feasible "
-                "assignment exists in the enumerated space"
-            )
-        meeting = [o for o in pool if o.slack >= min_slack]
-        if not meeting:
-            return max(pool, key=lambda o: (o.slack, -o.buffer_count))
-        by_name = {b.name: b for b in library}
-
-        def total(outcome: OracleOutcome) -> float:
-            return sum(cost(by_name[buf]) for _, buf in outcome.assignment)
-
-        return min(meeting, key=lambda o: (total(o), -o.slack))
 
     def min_power(
         self, min_slack: float = 0.0, require_noise: Optional[bool] = None
@@ -338,9 +309,6 @@ def compare_result_to_oracle(
     min_slacks: Sequence[float] = (0.0,),
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-15,
-    cost=None,
-    cost_library: Optional[BufferLibrary] = None,
-    cost_exact: bool = False,
 ) -> List[OracleDisagreement]:
     """Check a :class:`~repro.core.dp.DPResult` against the oracle.
 
@@ -355,19 +323,19 @@ def compare_result_to_oracle(
     * no DP outcome's slack exceeds the oracle's best within its count;
     * a noise-feasible DP claim implies the oracle found a
       noise-feasible assignment at that count;
-    * if the DP reports a feasible ``best()``, so does the oracle.
+    * if the DP reports a feasible ``max-slack`` outcome, so does the
+      oracle.
 
     Additionally with ``exact``:
 
-    * ``best()`` slacks match;
-    * ``fewest_buffers(min_slack)`` counts match for every requested
-      ``min_slack`` (and slacks match when both meet the threshold);
+    * ``max-slack`` slacks match;
+    * ``fewest-buffers`` counts match for every requested ``min_slack``
+      (and slacks match when both meet the threshold);
     * the oracle cannot be feasible while the DP claims infeasibility.
 
-    With ``cost`` (and ``cost_library``), ``minimize_cost`` is compared
-    too: the DP's total can never undercut the exhaustive minimum
-    (soundness); with ``cost_exact`` the totals must be equal — only
-    assert that for uniform costs, where the frontier search is exact.
+    The DP side is always asked through :meth:`DPResult.select` with an
+    explicit :class:`~repro.core.objective.Objective` in the result's
+    own mode.
 
     When the DP ran with a power model (``result.options.power``) and
     the oracle enumerated one, the power selections are compared too:
@@ -432,9 +400,12 @@ def compare_result_to_oracle(
                     f"noise-feasible exhaustive optimum {noise_bound!r}",
                 ))
 
-    def dp_select(method, *args, **kwargs):
+    mode = "buffopt" if options.noise_aware else "delay"
+
+    def dp_select(selection, **constraints):
+        objective = Objective(mode=mode, selection=selection, **constraints)
         try:
-            return method(*args, **kwargs)
+            return result.select(objective)
         except InfeasibleError:
             return None
 
@@ -445,7 +416,7 @@ def compare_result_to_oracle(
             return None
 
     # -- best() ---------------------------------------------------------
-    dp_best = dp_select(result.best)
+    dp_best = dp_select("max-slack")
     oracle_best = oracle_select(oracle.best, options.noise_aware)
     if dp_best is not None and oracle_best is None:
         disagreements.append(OracleDisagreement(
@@ -474,7 +445,7 @@ def compare_result_to_oracle(
 
     # -- fewest_buffers(min_slack) --------------------------------------
     for min_slack in min_slacks:
-        dp_few = dp_select(result.fewest_buffers, min_slack)
+        dp_few = dp_select("fewest-buffers", min_slack=min_slack)
         oracle_few = oracle_select(oracle.fewest_buffers, min_slack,
                                    options.noise_aware)
         if dp_few is None or oracle_few is None:
@@ -509,38 +480,6 @@ def compare_result_to_oracle(
                 f"oracle meets it with {oracle_few.buffer_count} buffers",
             ))
 
-    # -- minimize_cost(cost, min_slack) ---------------------------------
-    if cost is not None and cost_library is not None:
-        for min_slack in min_slacks:
-            dp_cheap = dp_select(result.minimize_cost, cost, min_slack)
-            oracle_cheap = oracle_select(
-                oracle.minimize_cost, cost, cost_library, min_slack,
-                options.noise_aware,
-            )
-            if dp_cheap is None or oracle_cheap is None:
-                continue
-            if not (dp_cheap.slack >= min_slack
-                    and oracle_cheap.slack >= min_slack):
-                continue  # fallback semantics already covered by fewest
-            dp_total = sum(cost(ins.buffer) for ins in dp_cheap.insertions)
-            by_name = {b.name: b for b in cost_library}
-            oracle_total = sum(
-                cost(by_name[buf]) for _, buf in oracle_cheap.assignment
-            )
-            if dp_total < oracle_total and not close(dp_total, oracle_total):
-                disagreements.append(OracleDisagreement(
-                    "cost",
-                    f"DP minimize_cost total {dp_total!r} undercuts the "
-                    f"exhaustive minimum {oracle_total!r} at "
-                    f"min_slack={min_slack!r}",
-                ))
-            elif cost_exact and not close(dp_total, oracle_total):
-                disagreements.append(OracleDisagreement(
-                    "cost",
-                    f"DP minimize_cost total {dp_total!r} != exhaustive "
-                    f"minimum {oracle_total!r} at min_slack={min_slack!r}",
-                ))
-
     # -- power selections (power-model runs only) -----------------------
     power_active = (
         getattr(options, "power", None) is not None
@@ -550,7 +489,7 @@ def compare_result_to_oracle(
         # min_power(min_slack): the DP can never spend less power than
         # the exhaustive minimum at the same threshold.
         for min_slack in min_slacks:
-            dp_mp = dp_select(result.min_power, min_slack)
+            dp_mp = dp_select("min-power", min_slack=min_slack)
             oracle_mp = oracle_select(oracle.min_power, min_slack,
                                       options.noise_aware)
             if dp_mp is None or oracle_mp is None:
@@ -603,7 +542,7 @@ def compare_result_to_oracle(
         for cap in probe_caps:
             # nudge the cap up an ulp so float-equal powers stay inside
             probe = cap * (1.0 + 1e-12) if cap > 0 else cap
-            dp_pc = dp_select(result.power_capped, probe)
+            dp_pc = dp_select("power-capped", power_cap=probe)
             oracle_pc = oracle_select(oracle.power_capped, probe,
                                       options.noise_aware)
             if dp_pc is not None and oracle_pc is None:

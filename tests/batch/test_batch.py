@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InfeasibleError, WorkloadError, two_pin_net
+from repro import InfeasibleError, Objective, WorkloadError, two_pin_net
 from repro.batch import (
     BatchConfig,
     BatchOptimizer,
@@ -70,8 +70,11 @@ def _square(x):
 
 class TestBatchConfig:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(WorkloadError):
-            BatchConfig(mode="noise")
+        # the mode lives in the objective, which refuses "noise" itself
+        with pytest.raises(ValueError, match="mode"):
+            Objective.parse("noise")
+        with pytest.raises(WorkloadError, match="objective"):
+            BatchConfig(objective="noise")
 
     def test_rejects_bad_segment(self):
         with pytest.raises(WorkloadError):
@@ -236,6 +239,6 @@ class TestBatchCLI:
 
     def test_batch_delay_mode(self, capsys):
         code = cli_main(["batch", "--nets", "4", "--seed", "3",
-                         "--mode", "delay"])
+                         "--objective", "delay"])
         assert code == 0
         assert "mode=delay" in capsys.readouterr().out

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Objective
 from repro.batch import BatchConfig
 from repro.fleet import FleetConfig, FleetCoordinator, PriceSchedule
 from repro.units import PS
@@ -33,7 +34,8 @@ SEED = 23
 #: to be killed after round 2 but converges eventually on resume.
 FLEET_KWARGS = (
     "config=FleetConfig(\n"
-    "    batch=BatchConfig(mode='delay', keep_trees=False),\n"
+    "    batch=BatchConfig(objective=Objective.legacy('delay'),\n"
+    "                      keep_trees=False),\n"
     "    sites_per_family=4, base_capacity=1, max_rounds=20,\n"
     "    schedule=PriceSchedule(step=2e-12, growth=1.0),\n"
     "),\n"
@@ -44,7 +46,9 @@ FLEET_KWARGS = (
 def build_coordinator():
     return FleetCoordinator(
         config=FleetConfig(
-            batch=BatchConfig(mode="delay", keep_trees=False),
+            batch=BatchConfig(
+                objective=Objective.legacy("delay"), keep_trees=False
+            ),
             sites_per_family=4,
             base_capacity=1,
             max_rounds=20,
@@ -76,6 +80,7 @@ class TestSigkillFleetResume:
         script = (
             "import sys\n"
             f"sys.path.insert(0, {REPO_SRC!r})\n"
+            "from repro.api import Objective\n"
             "from repro.batch import BatchConfig\n"
             "from repro.fleet import (FleetConfig, FleetCoordinator,\n"
             "                         PriceSchedule)\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Objective
 from repro.batch import (
     BatchConfig,
     BatchOptimizer,
@@ -25,7 +26,9 @@ from repro.workloads import (
 )
 
 WORKLOAD = WorkloadConfig(nets=16, seed=20260805)
-CONFIG = BatchConfig(mode="buffopt", max_buffers=4, keep_trees=False)
+CONFIG = BatchConfig(
+    objective=Objective.legacy("buffopt"), max_buffers=4, keep_trees=False
+)
 
 
 def _optimizer(executor):

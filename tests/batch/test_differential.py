@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "properties"))
 from treegen import TECH, random_trees  # noqa: E402
 
 from repro import CouplingModel, InfeasibleError, segment_tree
+from repro.api import Objective, dp_result
 from repro.batch import (
     BatchConfig,
     BatchOptimizer,
@@ -28,8 +29,6 @@ from repro.batch import (
     MultiprocessExecutor,
     SerialExecutor,
 )
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
 from repro.library import default_buffer_library
 from repro.units import MM
 
@@ -65,13 +64,15 @@ def trees():
 def _direct_signature(tree, mode):
     """What a caller using the engine directly would get for one net."""
     segmented = segment_tree(tree, SEGMENT)
+    objective = Objective.legacy(mode)
     try:
         if mode == "buffopt":
-            result = buffopt_result(segmented, LIBRARY, COUPLING)
-            outcome = result.fewest_buffers()
+            result = dp_result(
+                segmented, LIBRARY, COUPLING, objective=objective
+            )
         else:
-            result = delay_opt_result(segmented, LIBRARY)
-            outcome = result.best(require_noise=False)
+            result = dp_result(segmented, LIBRARY, objective=objective)
+        outcome = result.select(objective)
     except InfeasibleError:
         return ("infeasible",)
     return (
@@ -103,7 +104,9 @@ def _run_batch(trees, mode, executor):
         library=LIBRARY,
         coupling=COUPLING,
         config=BatchConfig(
-            mode=mode, max_segment_length=SEGMENT, keep_trees=False
+            objective=Objective.legacy(mode),
+            max_segment_length=SEGMENT,
+            keep_trees=False,
         ),
         executor=executor,
     )
@@ -141,7 +144,7 @@ def test_stats_collection_is_solution_neutral(trees):
         library=LIBRARY,
         coupling=COUPLING,
         config=BatchConfig(
-            mode="buffopt",
+            objective=Objective.legacy("buffopt"),
             max_segment_length=SEGMENT,
             keep_trees=False,
             collect_stats=True,

@@ -20,9 +20,8 @@ from repro import (
     TimeoutError,
     two_pin_net,
 )
+from repro.api import Objective, dp_result
 from repro.core.dp import DPOptions
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
 from repro.library import DriverCell, default_buffer_library, default_technology
 from repro.noise import CouplingModel
 from repro.tree import segment_tree
@@ -30,6 +29,9 @@ from repro.units import FF, PS, UM
 
 TECH = default_technology()
 COUPLING = CouplingModel.estimation_mode(TECH)
+BUFFOPT = Objective.legacy("buffopt")
+#: Problem 2: max slack among noise-feasible outcomes.
+MAX_SLACK = Objective(mode="buffopt", selection="max-slack")
 
 
 def _tree(length=9000 * UM):
@@ -107,11 +109,12 @@ class TestDPIntegration:
 
     def test_tiny_candidate_budget_trips(self):
         with pytest.raises(BudgetExceededError):
-            buffopt_result(
+            dp_result(
                 _tree(),
                 default_buffer_library(),
                 COUPLING,
                 budget=RunBudget(max_candidates=10),
+                objective=BUFFOPT,
             )
 
     def test_tiny_deadline_trips(self):
@@ -119,44 +122,50 @@ class TestDPIntegration:
         budget.start()
         time.sleep(0.01)
         with pytest.raises(TimeoutError):
-            buffopt_result(
-                _tree(), default_buffer_library(), COUPLING, budget=budget
+            dp_result(
+                _tree(), default_buffer_library(), COUPLING, budget=budget,
+                objective=BUFFOPT,
             )
 
     def test_delay_engine_honors_budget_too(self):
         with pytest.raises(BudgetExceededError):
-            delay_opt_result(
+            dp_result(
                 _tree(),
                 default_buffer_library(),
                 budget=RunBudget(max_candidates=5),
+                objective=Objective.legacy("delay"),
             )
 
     def test_generous_budget_is_bit_identical(self):
         # The guard must observe, never steer: same tree, with and
         # without a (large) budget, must agree on every outcome field.
         tree_a, tree_b = _tree(), _tree()
-        bare = buffopt_result(tree_a, default_buffer_library(), COUPLING)
-        guarded = buffopt_result(
+        bare = dp_result(
+            tree_a, default_buffer_library(), COUPLING, objective=BUFFOPT
+        )
+        guarded = dp_result(
             tree_b,
             default_buffer_library(),
             COUPLING,
             budget=RunBudget(deadline_seconds=3600.0, max_candidates=10**9),
+            objective=BUFFOPT,
         )
         assert bare.candidates_generated == guarded.candidates_generated
-        bare_best = bare.best()
-        guarded_best = guarded.best()
+        bare_best = bare.select(MAX_SLACK)
+        guarded_best = guarded.select(MAX_SLACK)
         assert bare_best.buffer_count == guarded_best.buffer_count
         assert bare_best.slack == guarded_best.slack
         assert bare_best.insertions == guarded_best.insertions
 
     def test_stats_carry_budget_telemetry(self):
         budget = RunBudget(deadline_seconds=3600.0, max_candidates=10**9)
-        result = buffopt_result(
+        result = dp_result(
             _tree(),
             default_buffer_library(),
             COUPLING,
             collect_stats=True,
             budget=budget,
+            objective=BUFFOPT,
         )
         stats = result.stats
         assert stats is not None
@@ -165,8 +174,9 @@ class TestDPIntegration:
         assert "budget:" in stats.describe()
 
     def test_stats_silent_without_budget(self):
-        result = buffopt_result(
-            _tree(), default_buffer_library(), COUPLING, collect_stats=True
+        result = dp_result(
+            _tree(), default_buffer_library(), COUPLING, collect_stats=True,
+            objective=BUFFOPT,
         )
         assert result.stats.budget_checks == 0
         assert "budget:" not in result.stats.describe()

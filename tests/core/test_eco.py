@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import TreeBuilder, default_technology
-from repro.api import dp_result
+from repro.api import Objective, dp_result
 from repro.core import (
     DPOptions,
     ECO_HITS_COUNTER,
@@ -74,7 +74,7 @@ def run_pair(tree, library, coupling, cache=None, **kwargs):
 
 def result_key(result):
     """Everything a bit-identity claim covers, telemetry included."""
-    outcome = result.best(require_noise=False)
+    outcome = result.select(Objective.legacy("delay"))
     return (
         outcome.slack,
         outcome.buffer_count,
@@ -167,10 +167,13 @@ class TestBitIdentity:
 
     def test_delay_mode_also_identical(self, library):
         tree = segment_tree(balanced_tree(), 500 * UM)
-        cold = dp_result(tree, library, None, mode="delay")
+        cold = dp_result(
+            tree, library, None, objective=Objective.legacy("delay")
+        )
         cache = FrontierCache()
         warm = dp_result(
-            tree, library, None, mode="delay", frontier_cache=cache
+            tree, library, None, objective=Objective.legacy("delay"),
+            frontier_cache=cache,
         )
         assert result_key(warm) == result_key(cold)
 

@@ -5,10 +5,11 @@ import pytest
 
 from repro import (
     InfeasibleError,
+    Objective,
     analyze_noise,
     buffopt,
     buffopt_min_buffers,
-    buffopt_result,
+    dp_result,
     optimize_delay,
     segment_tree,
     two_pin_net,
@@ -16,6 +17,10 @@ from repro import (
 from repro.noise import has_noise_violation
 from repro.timing import max_sink_delay, source_slack
 from repro.units import FF, MM, NS, UM
+
+BUFFOPT = Objective.legacy("buffopt")
+#: Problem 2: max slack among noise-feasible outcomes.
+MAX_SLACK = Objective(mode="buffopt", selection="max-slack")
 
 
 @pytest.fixture
@@ -70,8 +75,8 @@ class TestProblem3:
         assert not has_noise_violation(net, coupling, solution.buffer_map())
 
     def test_fewest_buffers_minimal_among_outcomes(self, net, library, coupling):
-        result = buffopt_result(net, library, coupling)
-        fewest = result.fewest_buffers(min_slack=0.0)
+        result = dp_result(net, library, coupling, objective=BUFFOPT)
+        fewest = result.select(BUFFOPT)
         meeting = [o for o in result.outcomes if o.slack >= 0.0]
         assert meeting
         assert fewest.buffer_count == min(o.buffer_count for o in meeting)
@@ -94,12 +99,14 @@ class TestProblem3:
         )
         solution = buffopt_min_buffers(net, library, coupling)
         assert not has_noise_violation(net, coupling, solution.buffer_map())
-        result = buffopt_result(net, library, coupling)
-        best = result.best()
+        result = dp_result(net, library, coupling, objective=BUFFOPT)
+        best = result.select(MAX_SLACK)
         assert solution.buffer_count == best.buffer_count
 
     def test_count_cap_respected(self, net, library, coupling):
-        result = buffopt_result(net, library, coupling, max_buffers=3)
+        result = dp_result(
+            net, library, coupling, max_buffers=3, objective=BUFFOPT
+        )
         assert all(o.buffer_count <= 3 for o in result.outcomes)
 
 

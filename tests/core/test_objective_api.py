@@ -1,60 +1,25 @@
-"""The unified Objective API and its parity-pinned legacy shims.
-
-Satellite contracts of the Objective redesign:
+"""The Objective API: the one way to state what to optimize.
 
 * the :class:`~repro.core.objective.Objective` grammar —
   ``parse``/``describe`` round-trips, ``to_json``/``from_json`` with
   unknown-key rejection, the exact legacy mapping;
-* every deprecated spelling (``dp_result(mode=...)``,
-  ``SessionOptions(mode=...)``, ``DPResult.best`` /
-  ``fewest_buffers`` / ``minimize_cost``) warns *and* stays
-  bit-identical to its Objective-spelled twin — shims forward, they do
-  not fork;
-* ``BatchConfig`` resolution: mode/objective mutual exclusion,
-  pareto rejection, and the checkpoint-fingerprint schema stability
-  that lets pre-objective journals resume (legacy-shaped objectives
-  emit no ``"objective"`` key).
-"""
+* ``BatchConfig`` carries exactly one objective: no ``mode`` /
+  ``min_slack`` twins to disagree with it, and no pareto selection.
 
-import pathlib
-import sys
+Pre-objective checkpoints resuming under the objective spelling are
+pinned by ``tests/batch/test_pre_objective_checkpoints.py``.
+"""
 
 import pytest
 
-_HERE = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(_HERE))
-
-from repro import (  # noqa: E402
-    CouplingModel,
-    default_buffer_library,
-    default_technology,
-)
-from repro.api import (  # noqa: E402
-    Session,
-    SessionOptions,
-    dp_result,
-    resolve_objective,
-)
-from repro.batch.optimizer import BatchConfig  # noqa: E402
-from repro.core.objective import (  # noqa: E402
+from repro.batch.optimizer import BatchConfig
+from repro.core.objective import (
     OBJECTIVE_MODES,
     POWER_SELECTIONS,
     SELECTION_RULES,
     Objective,
 )
-from repro.errors import WorkloadError  # noqa: E402
-from repro.verify.treegen import seeded_tree  # noqa: E402
-
-LIBRARY = default_buffer_library()
-COUPLING = CouplingModel.estimation_mode(default_technology())
-
-
-def _signature(result):
-    return tuple(
-        (o.buffer_count, o.slack, o.noise_feasible, o.power,
-         tuple(sorted((i.node, i.buffer.name) for i in o.insertions)))
-        for o in result.outcomes
-    )
+from repro.errors import WorkloadError
 
 
 class TestGrammar:
@@ -142,130 +107,17 @@ class TestGrammar:
             assert objective.power_aware == (selection in POWER_SELECTIONS)
 
 
-class TestResolveObjective:
-    def test_conflicting_mode_and_objective_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            resolve_objective(
-                "delay", Objective.legacy("buffopt"), owner="test"
-            )
-
-    def test_matching_mode_alongside_objective_is_tolerated(self):
-        objective = Objective.legacy("delay")
-        assert resolve_objective("delay", objective, owner="test") \
-            is objective
-
-    def test_bare_mode_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="objective"):
-            resolved = resolve_objective("delay", None, owner="test")
-        assert resolved == Objective.legacy("delay")
-
-    def test_neither_defaults_to_buffopt(self):
-        assert resolve_objective(None, None, owner="test") == \
-            Objective.legacy("buffopt")
-
-
-class TestShimParity:
-    """Deprecated spellings warn and stay bit-identical."""
-
-    def test_dp_result_mode_kwarg(self):
-        for mode in ("delay", "buffopt"):
-            for seed in range(5):
-                tree = seeded_tree(seed, max_internal=4, with_rats=True)
-                with pytest.warns(DeprecationWarning):
-                    legacy = dp_result(tree, LIBRARY, COUPLING, mode=mode)
-                modern = dp_result(
-                    tree, LIBRARY, COUPLING,
-                    objective=Objective.legacy(mode),
-                )
-                assert _signature(legacy) == _signature(modern), (
-                    f"{mode} seed {seed}"
-                )
-
-    def test_dp_result_selection_shims(self):
-        tree = seeded_tree(3, max_internal=4, with_rats=True)
-        result = dp_result(
-            tree, LIBRARY, COUPLING, objective=Objective.legacy("buffopt")
-        )
-        with pytest.warns(DeprecationWarning, match="max-slack"):
-            best = result.best()
-        assert best == result.select(
-            Objective(mode="buffopt", selection="max-slack")
-        )
-        with pytest.warns(DeprecationWarning, match="fewest-buffers"):
-            fewest = result.fewest_buffers()
-        assert fewest == result.select(Objective.legacy("buffopt"))
-        with pytest.warns(DeprecationWarning):
-            cheapest = result.minimize_cost(lambda buffer: 1.0)
-        assert cheapest == fewest
-
-    def test_session_options_mode_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SessionOptions(mode="delay")
-        modern = SessionOptions(objective=Objective.legacy("delay"))
-        assert legacy.objective == modern.objective
-        assert legacy.mode == "delay"
-
-    def test_session_runs_identical_under_both_spellings(self):
-        tree = seeded_tree(7, max_internal=4, with_rats=True)
-        solutions = []
-        for options in (
-            SessionOptions(objective=Objective.legacy("buffopt")),
-        ):
-            with Session(options, library=LIBRARY, coupling=COUPLING) \
-                    as session:
-                solutions.append(
-                    session.optimize(tree).solution().assignment
-                )
-        with pytest.warns(DeprecationWarning):
-            options = SessionOptions(mode="buffopt")
-        with Session(options, library=LIBRARY, coupling=COUPLING) as session:
-            solutions.append(session.optimize(tree).solution().assignment)
-        assert solutions[0] == solutions[1]
-
-
 class TestBatchConfigObjective:
-    def test_objective_pins_the_legacy_mirrors(self):
-        objective = Objective(
-            mode="delay", selection="min-power", min_slack=0.05
-        )
-        config = BatchConfig(objective=objective)
-        assert config.objective == objective
-        assert config.mode == "delay"
-        assert config.min_slack == 0.05
-
     def test_conflicting_mode_and_objective_rejected(self):
-        with pytest.raises(WorkloadError, match="conflicts"):
+        # One objective, no twins: a config cannot carry a mode or slack
+        # floor that disagrees with (or silently loses to) its objective.
+        with pytest.raises(TypeError, match="mode"):
             BatchConfig(mode="delay", objective=Objective.legacy("buffopt"))
+        with pytest.raises(TypeError, match="min_slack"):
+            BatchConfig(objective=Objective.parse("buffopt"), min_slack=0.2)
 
     def test_pareto_objective_rejected(self):
         with pytest.raises(WorkloadError, match="pareto"):
             BatchConfig(
                 objective=Objective(mode="buffopt", selection="pareto")
             )
-
-    def test_legacy_objectives_keep_the_pre_objective_fingerprint(self):
-        """Checkpoints journaled before the Objective API must resume:
-        a legacy-shaped objective emits the exact old schema."""
-        from repro.batch.optimizer import BatchOptimizer
-        from repro.workloads import WorkloadConfig
-
-        workload = WorkloadConfig(nets=4, seed=11)
-        with pytest.warns(DeprecationWarning):
-            old = BatchOptimizer(
-                config=BatchConfig(mode="delay"), workload=workload
-            )._fingerprint()
-        new = BatchOptimizer(
-            config=BatchConfig(objective=Objective.legacy("delay")),
-            workload=workload,
-        )._fingerprint()
-        assert old == new
-        assert "objective" not in new
-        modern = BatchOptimizer(
-            config=BatchConfig(objective=Objective(
-                mode="delay", selection="min-power"
-            )),
-            workload=workload,
-        )._fingerprint()
-        assert modern["objective"] == {
-            "mode": "delay", "selection": "min-power"
-        }

@@ -1,19 +1,23 @@
-"""DPResult selection semantics: minimize_cost and require_noise edges.
+"""DPResult selection semantics: require_noise edges and tie-breaks.
 
-``minimize_cost`` searches the count-indexed frontier: exact for uniform
-costs (where it reduces to Problem 3), the standard frontier heuristic
-for non-uniform costs.  These tests pin the tie-breaking rules and the
-fallback paths, plus ``best(require_noise=True)`` on nets where no
-noise-feasible outcome exists at all.
+These tests pin the max-slack tie-break and the ``require_noise=True``
+paths on nets where no noise-feasible outcome exists at all.
 """
 
 import pytest
 
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro.api import Objective, dp_result
 from repro.errors import InfeasibleError
 from repro.tree import two_pin_net
 from repro.units import FF, PS, UM
+
+
+DELAY = Objective.legacy("delay")
+#: max slack over noise-feasible outcomes only.
+NOISE_BEST = Objective(mode="buffopt", selection="max-slack",
+                       require_noise=True)
+NOISE_FEWEST = Objective(mode="buffopt", selection="fewest-buffers",
+                         require_noise=True)
 
 
 @pytest.fixture
@@ -24,58 +28,9 @@ def frontier(tech, driver, library):
         noise_margin=0.8, required_arrival=1500 * PS, segments=5,
         name="frontier_host",
     )
-    result = delay_opt_result(net, library)
+    result = dp_result(net, library, objective=DELAY)
     assert len({o.buffer_count for o in result.outcomes}) >= 3
     return result
-
-
-def _total(outcome, cost):
-    return sum(cost(ins.buffer) for ins in outcome.insertions)
-
-
-class TestMinimizeCost:
-    def test_uniform_cost_reduces_to_fewest_buffers(self, frontier):
-        chosen = frontier.minimize_cost(lambda b: 1.0)
-        reference = frontier.fewest_buffers()
-        assert chosen.buffer_count == reference.buffer_count
-        assert chosen.slack == reference.slack
-
-    def test_zero_cost_tie_breaks_on_slack(self, frontier):
-        # every meeting outcome costs 0.0; the -slack tie-break must
-        # pick the max-slack one, i.e. agree with best()
-        chosen = frontier.minimize_cost(lambda b: 0.0)
-        assert chosen.slack == frontier.best(require_noise=False).slack
-
-    def test_nonuniform_cost_beats_slack_driven_selections(self, frontier):
-        def area(buffer):
-            return buffer.input_capacitance
-
-        chosen = frontier.minimize_cost(area)
-        assert chosen.slack >= 0.0
-        best = frontier.best(require_noise=False)
-        fewest = frontier.fewest_buffers()
-        assert _total(chosen, area) <= _total(best, area)
-        assert _total(chosen, area) <= _total(fewest, area)
-        # and it is the frontier-wide minimum among meeting outcomes
-        meeting = [o for o in frontier.outcomes if o.slack >= 0.0]
-        assert _total(chosen, area) == min(
-            _total(o, area) for o in meeting
-        )
-
-    def test_equal_cost_prefers_more_slack(self, frontier):
-        def area(buffer):
-            return buffer.input_capacitance
-
-        chosen = frontier.minimize_cost(area)
-        meeting = [o for o in frontier.outcomes if o.slack >= 0.0]
-        cheapest = min(_total(o, area) for o in meeting)
-        ties = [o for o in meeting if _total(o, area) == cheapest]
-        assert chosen.slack == max(o.slack for o in ties)
-
-    def test_unreachable_min_slack_falls_back_to_best(self, frontier):
-        fallback = frontier.minimize_cost(lambda b: 1.0, min_slack=1.0)
-        assert fallback.slack == frontier.best(require_noise=False).slack
-        assert fallback.slack < 1.0
 
 
 class TestRequireNoise:
@@ -87,17 +42,17 @@ class TestRequireNoise:
             noise_margin=1e-9, required_arrival=2000 * PS, segments=4,
             name="hopeless_noise",
         )
-        return buffopt_result(net, library, coupling)
+        return dp_result(
+            net, library, coupling, objective=Objective.legacy("buffopt")
+        )
 
     def test_best_raises_without_noise_feasible_outcome(self, hopeless):
         with pytest.raises(InfeasibleError, match="no noise-feasible"):
-            hopeless.best(require_noise=True)
+            hopeless.select(NOISE_BEST)
 
     def test_fewest_and_cost_raise_too(self, hopeless):
         with pytest.raises(InfeasibleError):
-            hopeless.fewest_buffers(require_noise=True)
-        with pytest.raises(InfeasibleError):
-            hopeless.minimize_cost(lambda b: 1.0, require_noise=True)
+            hopeless.select(NOISE_FEWEST)
 
     def test_noise_aware_run_has_empty_frontier(
         self, hopeless, tech, driver, library
@@ -107,17 +62,17 @@ class TestRequireNoise:
         # remediation path is a delay-mode rerun
         assert hopeless.outcomes == ()
         with pytest.raises(InfeasibleError):
-            hopeless.best(require_noise=False)
+            hopeless.select(DELAY)
         net = two_pin_net(
             tech, 8000 * UM, driver, sink_capacitance=20 * FF,
             noise_margin=1e-9, required_arrival=2000 * PS, segments=4,
         )
-        assert delay_opt_result(net, library).best(
-            require_noise=False
+        assert dp_result(net, library, objective=DELAY).select(
+            DELAY
         ) is not None
 
     def test_best_tie_breaks_on_fewer_buffers(self, frontier):
-        best = frontier.best(require_noise=False)
+        best = frontier.select(DELAY)
         for outcome in frontier.outcomes:
             assert outcome.slack <= best.slack
             if outcome.slack == best.slack:

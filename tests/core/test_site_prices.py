@@ -29,6 +29,7 @@ from equivalence import ABS_TOL, assert_priced_equivalence  # noqa: E402
 from repro import (  # noqa: E402
     CouplingModel,
     DPOptions,
+    Objective,
     default_buffer_library,
     default_technology,
     run_dp,
@@ -85,7 +86,7 @@ class TestEnginesHonorPrices:
             tree, LIBRARY, SILENT,
             DPOptions(engine=engine, site_prices=prices),
         )
-        assert result.best().buffer_count == 0
+        assert result.select(Objective.legacy("delay")).buffer_count == 0
 
     @pytest.mark.parametrize("engine", ["reference", "lishi"])
     def test_moderate_price_lowers_priced_slack(self, engine):

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Objective
 from repro.batch.optimizer import BatchConfig, BatchOptimizer
 from repro.errors import WorkloadError
 from repro.fleet import (
@@ -52,7 +53,10 @@ def tiny_trees(seed, count=4, max_internal=2):
 
 def contended_config(**overrides):
     base = dict(
-        batch=BatchConfig(mode="delay", max_segment_length=None),
+        batch=BatchConfig(
+            objective=Objective.legacy("delay"),
+            max_segment_length=None,
+        ),
         sites_per_family=3,
         base_capacity=1,
         max_rounds=20,
@@ -166,7 +170,10 @@ class TestCoordinationLoop:
         result = FleetCoordinator(
             library=SMALL_LIBRARY,
             config=contended_config(
-                batch=BatchConfig(mode="buffopt", max_segment_length=None)
+                batch=BatchConfig(
+                    objective=Objective.legacy("buffopt"),
+                    max_segment_length=None,
+                )
             ),
         ).coordinate(trees)
         assert result.dual_bound is None

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.api import Objective
 from repro.batch.optimizer import BatchConfig
 from repro.fleet import (
     FleetConfig,
@@ -46,7 +47,10 @@ def battery_kwargs():
     return dict(
         library=SMALL_LIBRARY,
         config=FleetConfig(
-            batch=BatchConfig(mode="delay", max_segment_length=None),
+            batch=BatchConfig(
+                objective=Objective.legacy("delay"),
+                max_segment_length=None,
+            ),
             sites_per_family=3,
             base_capacity=1,
             max_rounds=15,

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.api import Objective
 from repro.batch.optimizer import BatchConfig
 from repro.fleet import (
     FleetConfig,
@@ -55,7 +56,10 @@ def battery_instance(seed):
         for i in range(2 + seed % 3)
     ]
     config = FleetConfig(
-        batch=BatchConfig(mode="delay", max_segment_length=None),
+        batch=BatchConfig(
+            objective=Objective.legacy("delay"),
+            max_segment_length=None,
+        ),
         sites_per_family=2 + seed % 2,
         base_capacity=1,
         capacity_spread=seed % 2,

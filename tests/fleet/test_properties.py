@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Objective
 from repro.batch.executors import make_executor
 from repro.batch.optimizer import BatchConfig, BatchOptimizer
 from repro.fleet import (
@@ -59,7 +60,10 @@ def fleet_for(seed, count=None):
 
 def contended_config(**overrides):
     base = dict(
-        batch=BatchConfig(mode="delay", max_segment_length=None),
+        batch=BatchConfig(
+            objective=Objective.legacy("delay"),
+            max_segment_length=None,
+        ),
         sites_per_family=3,
         base_capacity=1,
         max_rounds=15,
@@ -149,7 +153,9 @@ class TestDeterminism:
             reference = coordinate(seed)
             config = contended_config(
                 batch=BatchConfig(
-                    mode="delay", max_segment_length=None, engine="lishi"
+                    objective=Objective.legacy("delay"),
+                    max_segment_length=None,
+                    engine="lishi",
                 ),
             )
             lishi = FleetCoordinator(
@@ -171,7 +177,10 @@ class TestZeroPriceIdentity:
     @given(seed=seeds)
     def test_uncontended_fleet_is_one_uncoordinated_round(self, seed):
         trees = fleet_for(seed)
-        batch_config = BatchConfig(mode="delay", max_segment_length=None)
+        batch_config = BatchConfig(
+            objective=Objective.legacy("delay"),
+            max_segment_length=None,
+        )
         fleet = FleetCoordinator(
             library=SMALL_LIBRARY,
             config=FleetConfig(

@@ -16,7 +16,8 @@ from repro import (
     segment_tree,
 )
 from repro.analysis import DetailedNoiseAnalyzer, assess_net
-from repro.core import best_within_count, delay_opt_result
+from repro.api import Objective, dp_result
+from repro.core import best_within_count
 from repro.timing import max_sink_delay, meets_timing
 
 
@@ -85,9 +86,10 @@ class TestFullPipeline:
             if buffered.buffer_count == 0:
                 continue
             matched = best_within_count(
-                delay_opt_result(
+                dp_result(
                     tree, experiment.library,
                     max_buffers=buffered.buffer_count,
+                    objective=Objective.legacy("delay"),
                 ),
                 buffered.buffer_count,
             )
@@ -105,7 +107,10 @@ class TestFullPipeline:
         noisy = 0
         for net in experiment.nets:
             tree = segment_tree(net.tree, experiment.max_segment_length)
-            result = delay_opt_result(tree, experiment.library, max_buffers=1)
+            result = dp_result(
+                tree, experiment.library, max_buffers=1,
+                objective=Objective.legacy("delay"),
+            )
             solution = best_within_count(result, 1)
             if analyze_noise(
                 tree, experiment.coupling, solution.buffer_map()

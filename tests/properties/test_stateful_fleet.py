@@ -35,7 +35,7 @@ from hypothesis.stateful import (
 )
 
 from repro import CouplingModel, DriverCell, TreeBuilder, default_technology
-from repro.api import dp_result
+from repro.api import Objective, dp_result
 from repro.batch import (
     BatchConfig,
     BatchOptimizer,
@@ -121,7 +121,7 @@ def eco_tree():
 
 
 def eco_result_key(result):
-    outcome = result.best(require_noise=False)
+    outcome = result.select(Objective.legacy("delay"))
     return (
         outcome.slack,
         outcome.buffer_count,

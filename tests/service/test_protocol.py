@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.objective import Objective
 from repro.service import (
     PROTOCOL_VERSION,
     CanonicalRequest,
@@ -30,7 +31,7 @@ class TestParseRequest:
         assert request.net_name == "n"
         assert request.sink_count == 4
         assert request.seed == 9
-        assert request.mode == "buffopt"
+        assert request.objective == Objective.legacy("buffopt")
         assert request.engine == "reference"
         assert request.prune == "timing"
         assert request.max_buffers is None

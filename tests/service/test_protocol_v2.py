@@ -60,9 +60,6 @@ class TestObjectiveBlock:
         assert request.objective == Objective(
             mode="delay", selection="min-power", min_slack=0.1
         )
-        # The legacy mirrors stay coherent for downstream consumers.
-        assert request.mode == "delay"
-        assert request.min_slack == 0.1
 
     @pytest.mark.parametrize("mutate", [
         lambda p: dict(p, mode="delay"),          # mode alongside objective
@@ -168,12 +165,15 @@ class TestWorkerThreading:
             "w", mode="delay", selection="min-power", min_slack=0.1,
         ))
         config = batch_config_for(request)
+        assert config.objective == request.objective
         assert config.objective.selection == "min-power"
-        assert config.mode == "delay"
-        assert config.min_slack == 0.1
+        assert config.objective.mode == "delay"
+        assert config.objective.min_slack == 0.1
 
     def test_legacy_request_keeps_the_legacy_config_shape(self):
-        request = parse_request(tiny_payload("w", mode="buffopt"))
+        request = parse_request(
+            tiny_payload("w", mode="delay", min_slack=0.2)
+        )
+        assert request.objective == Objective.legacy("delay", min_slack=0.2)
         config = batch_config_for(request)
-        assert config.objective.is_legacy()
-        assert config.mode == "buffopt"
+        assert config.objective == Objective.legacy("delay", min_slack=0.2)

@@ -1,11 +1,15 @@
-"""The repro.api facade: Session, dp_result, and the deprecation shims."""
+"""The repro.api facade: Session and dp_result."""
 
 import pytest
 
 import repro
-from repro.api import OptimizeResult, Session, SessionOptions, dp_result
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro.api import (
+    Objective,
+    OptimizeResult,
+    Session,
+    SessionOptions,
+    dp_result,
+)
 from repro.obs import MetricsRegistry, Tracer, parse_prometheus, read_events
 
 
@@ -19,58 +23,47 @@ def test_facade_is_reexported_from_package_root():
 # -- dp_result -------------------------------------------------------------
 
 
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
+
+
 def test_dp_result_rejects_unknown_mode(y_tree, library, coupling):
-    with pytest.raises(ValueError, match="unknown mode"):
-        dp_result(y_tree, library, coupling, mode="noise")
+    with pytest.raises(ValueError, match="objective mode"):
+        dp_result(
+            y_tree, library, coupling, objective=Objective.parse("noise")
+        )
+
+
+def test_dp_result_defaults_to_buffopt(y_tree, library, coupling):
+    default = dp_result(y_tree, library, coupling)
+    assert default.options.noise_aware
+    assert default.outcomes == dp_result(
+        y_tree, library, coupling, objective=BUFFOPT
+    ).outcomes
 
 
 def test_dp_result_buffopt_requires_coupling(y_tree, library):
     with pytest.raises(ValueError, match="requires a coupling model"):
-        dp_result(y_tree, library, mode="buffopt")
+        dp_result(y_tree, library, objective=BUFFOPT)
 
 
 def test_dp_result_delay_mode_ignores_coupling(y_tree, library, coupling):
-    with_coupling = dp_result(y_tree, library, coupling, mode="delay")
-    without = dp_result(y_tree, library, mode="delay")
+    with_coupling = dp_result(y_tree, library, coupling, objective=DELAY)
+    without = dp_result(y_tree, library, objective=DELAY)
     assert with_coupling.outcomes == without.outcomes
-
-
-# -- deprecation shims -----------------------------------------------------
-
-
-@pytest.mark.parametrize("engine", ["reference", "lishi"])
-def test_buffopt_shim_parity(y_tree, library, coupling, engine):
-    with pytest.warns(DeprecationWarning, match="buffopt_result"):
-        legacy = buffopt_result(
-            y_tree, library, coupling, max_buffers=4, engine=engine
-        )
-    modern = dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
-        engine=engine,
-    )
-    assert legacy.outcomes == modern.outcomes
-    assert legacy.candidates_generated == modern.candidates_generated
-
-
-@pytest.mark.parametrize("engine", ["reference", "lishi"])
-def test_delay_opt_shim_parity(y_tree, library, engine):
-    with pytest.warns(DeprecationWarning, match="delay_opt_result"):
-        legacy = delay_opt_result(
-            y_tree, library, max_buffers=4, engine=engine
-        )
-    modern = dp_result(
-        y_tree, library, mode="delay", max_buffers=4, engine=engine
-    )
-    assert legacy.outcomes == modern.outcomes
-    assert legacy.candidates_generated == modern.candidates_generated
 
 
 # -- SessionOptions validation ---------------------------------------------
 
 
 def test_session_options_validation():
-    with pytest.raises(ValueError, match="unknown mode"):
-        SessionOptions(mode="noise")
+    with pytest.raises(ValueError, match="objective"):
+        SessionOptions(objective="delay")
+    # one objective, no mode / min_slack twins beside it
+    with pytest.raises(TypeError, match="mode"):
+        SessionOptions(mode="delay")
+    with pytest.raises(TypeError, match="min_slack"):
+        SessionOptions(objective=BUFFOPT, min_slack=0.2)
     with pytest.raises(ValueError, match="unknown engine"):
         SessionOptions(engine="turbo")
     with pytest.raises(ValueError, match="unknown prune rule"):
@@ -86,7 +79,7 @@ def test_session_options_validation():
 
 def test_session_optimize_buffopt(y_tree, library, coupling, tech):
     with Session(
-        SessionOptions(mode="buffopt", max_buffers=8),
+        SessionOptions(objective=BUFFOPT, max_buffers=8),
         library=library, coupling=coupling, technology=tech,
     ) as session:
         outcome = session.optimize(y_tree)
@@ -101,19 +94,19 @@ def test_session_optimize_buffopt(y_tree, library, coupling, tech):
 
 def test_session_optimize_delay_matches_raw_dp(y_tree, library, tech):
     options = SessionOptions(
-        mode="delay", engine="lishi", max_segment_length=None
+        objective=DELAY, engine="lishi", max_segment_length=None
     )
     with Session(options, library=library, technology=tech) as session:
         outcome = session.optimize(y_tree)
-    raw = dp_result(y_tree, library, mode="delay", engine="lishi")
+    raw = dp_result(y_tree, library, objective=DELAY, engine="lishi")
     assert outcome.result.outcomes == raw.outcomes
     assert outcome.tree is y_tree  # segmentation disabled: same tree
-    assert outcome.slack == raw.best(require_noise=False).slack
+    assert outcome.slack == raw.select(DELAY).slack
 
 
 def test_session_meters_optimize_calls(y_tree, library, coupling):
     with Session(
-        SessionOptions(mode="buffopt"), library=library, coupling=coupling
+        SessionOptions(objective=BUFFOPT), library=library, coupling=coupling
     ) as session:
         session.optimize(y_tree)
         session.optimize(y_tree)
@@ -127,7 +120,7 @@ def test_session_meters_optimize_calls(y_tree, library, coupling):
 
 def test_session_profile_phases(y_tree, library, coupling):
     with Session(
-        SessionOptions(mode="buffopt", profile_phases=True),
+        SessionOptions(objective=BUFFOPT, profile_phases=True),
         library=library, coupling=coupling,
     ) as session:
         profiled = session.optimize(y_tree)
@@ -137,7 +130,7 @@ def test_session_profile_phases(y_tree, library, coupling):
     }
     # profiling never changes the arithmetic
     with Session(
-        SessionOptions(mode="buffopt"), library=library, coupling=coupling
+        SessionOptions(objective=BUFFOPT), library=library, coupling=coupling
     ) as session:
         plain = session.optimize(y_tree)
     assert plain.phase_seconds is None
@@ -149,7 +142,7 @@ def test_session_writes_trace_and_metrics_files(
     trace = tmp_path / "session.jsonl"
     prom = tmp_path / "session.prom"
     options = SessionOptions(
-        mode="buffopt", trace_path=str(trace), metrics_path=str(prom)
+        objective=BUFFOPT, trace_path=str(trace), metrics_path=str(prom)
     )
     with Session(options, library=library, coupling=coupling) as session:
         session.optimize(y_tree)
@@ -168,7 +161,7 @@ def test_session_external_tracer_not_closed(y_tree, library, coupling):
     tracer = Tracer()
     metrics = MetricsRegistry()
     with Session(
-        SessionOptions(mode="delay"),
+        SessionOptions(objective=DELAY),
         library=library, coupling=coupling,
         tracer=tracer, metrics=metrics,
     ) as session:
@@ -185,7 +178,7 @@ def test_session_external_tracer_not_closed(y_tree, library, coupling):
 
 def test_session_traced_run_is_bit_identical(
         tmp_path, y_tree, library, coupling):
-    options = dict(mode="buffopt", max_buffers=6)
+    options = dict(objective=BUFFOPT, max_buffers=6)
     with Session(
         SessionOptions(**options), library=library, coupling=coupling
     ) as session:

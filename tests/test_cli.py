@@ -237,11 +237,11 @@ def exported_net(capsys, tmp_path):
     ["fleet", "--nets", "2"],
 ])
 def test_objective_and_mode_are_mutually_exclusive(capsys, argv):
-    code, _, err = run_cli(
-        capsys, *argv, "--objective", "delay", "--mode", "delay"
-    )
-    assert code == EXIT_USAGE
-    assert "mutually exclusive" in err
+    # --objective is the only spelling: --mode next to it is unknown.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--objective", "delay", "--mode", "delay"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_fuzz_never_had_a_mode_flag(capsys):
@@ -262,20 +262,18 @@ def test_bad_objective_spec_is_usage_error(capsys, argv):
     assert "--objective" in err
 
 
-def test_mode_flag_is_a_deprecation_shim(capsys):
-    code, report = run_json(
-        capsys, "batch", "--nets", "2", "--mode", "delay"
-    )
-    assert code == EXIT_OK
-    assert report["mode"] == "delay"
-    _, err = capsys.readouterr().out, ""
-    # the note was emitted before the JSON body, on stderr
-    # (run_json already drained capsys; re-run plain to see it)
-    code, _, err = run_cli(
-        capsys, "batch", "--nets", "2", "--mode", "delay"
-    )
-    assert code == EXIT_OK
-    assert "--mode is deprecated" in err
+@pytest.mark.parametrize("command", ["batch", "fleet", "loadtest"])
+def test_mode_flag_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--mode", "delay"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_fix_mode_accepts_only_noise(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fix", "net.json", "--mode", "delay"])
+    assert excinfo.value.code == EXIT_USAGE
 
 
 def test_fix_json_report_carries_the_objective(capsys, exported_net):

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.core.dp import DPOptions, run_dp
+from repro.core.objective import Objective
 from repro.core.wire_sizing import WireSizingSpec
 from repro.errors import InfeasibleError
 from repro.library.buffers import default_buffer_library
@@ -77,8 +78,7 @@ class TestSeededAgreement:
                     max_sites=ORACLE_SITES,
                 )
                 disagreements = compare_result_to_oracle(
-                    result, oracle, exact=True,
-                    cost=lambda b: 1.0, cost_library=small, cost_exact=True,
+                    result, oracle, exact=True
                 )
                 assert not disagreements, (
                     f"{tree.name} noise_aware={noise_aware}: "
@@ -129,32 +129,6 @@ class TestSelectionSemantics:
         with pytest.raises(InfeasibleError):
             oracle.best(require_noise=True)
         assert oracle.best(require_noise=False) is not None
-
-    def test_minimize_cost_prefers_cheap_cells(self, setup, tech, driver):
-        small, _ = setup
-        net = two_pin_net(
-            tech, 5000 * UM, driver, sink_capacitance=20 * FF,
-            noise_margin=0.8, required_arrival=2000 * PS, segments=4,
-        )
-        oracle = exhaustive_oracle(
-            net, small, CouplingModel.silent(), noise_aware=False
-        )
-        by_name = {b.name: b for b in small}
-
-        def area(buffer):
-            return buffer.input_capacitance
-
-        cheap = oracle.minimize_cost(
-            area, small, min_slack=0.0, require_noise=False
-        )
-        assert cheap.slack >= 0.0
-        total = sum(area(by_name[n]) for _, n in cheap.assignment)
-        for outcome in oracle.outcomes:
-            if outcome.slack >= 0.0:
-                other = sum(
-                    area(by_name[n]) for _, n in outcome.assignment
-                )
-                assert total <= other + 1e-30
 
 
 class TestBounds:
@@ -216,6 +190,6 @@ class TestWireSizing:
             net, library, silent, noise_aware=False, sizing=spec
         )
         # Lillis-style sizing is exact in delay mode too
-        assert result.best(require_noise=False).slack == pytest.approx(
+        assert result.select(Objective.legacy("delay")).slack == pytest.approx(
             oracle.best(require_noise=False).slack, rel=1e-9
         )
